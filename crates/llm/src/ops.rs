@@ -96,42 +96,39 @@ impl Operator {
         }
     }
 
-    /// Break one execution's traffic into independently-allocated memory
-    /// objects: weight matrices, per-sequence KV-cache slices, and the
-    /// activation buffer. The sum of the returned sizes equals
+    /// Break one execution's traffic into runs of equal-sized,
+    /// independently-allocated memory objects, as `(kind, object bytes,
+    /// object count)`: the whole weight matrices, then the weight remainder,
+    /// the whole per-sequence KV-cache slices, then the KV remainder, and the
+    /// activation buffer. A kind whose unit size is zero or at least its
+    /// total is one object; empty runs are skipped. At most five runs come
+    /// out, whatever the batch, and `Σ bytes × count` equals
     /// [`Operator::bytes`].
-    pub fn tensor_units(&self) -> Vec<(DataKind, u64)> {
-        fn split(total: u64, unit: u64, kind: DataKind, out: &mut Vec<(DataKind, u64)>) {
-            if total == 0 {
-                return;
-            }
+    pub fn tensor_runs(&self) -> impl Iterator<Item = (DataKind, u64, u64)> {
+        fn split(kind: DataKind, total: u64, unit: u64) -> [(DataKind, u64, u64); 2] {
             if unit == 0 || unit >= total {
-                out.push((kind, total));
-                return;
-            }
-            let full = total / unit;
-            for _ in 0..full {
-                out.push((kind, unit));
-            }
-            if !total.is_multiple_of(unit) {
-                out.push((kind, total % unit));
+                [(kind, total, 1), (kind, 0, 0)]
+            } else {
+                [(kind, unit, total / unit), (kind, total % unit, 1)]
             }
         }
-        let mut out = Vec::new();
-        split(
-            self.weight_bytes,
-            self.weight_unit_bytes,
-            DataKind::Weight,
-            &mut out,
-        );
-        split(
-            self.kv_bytes,
-            self.kv_unit_bytes,
-            DataKind::KvCache,
-            &mut out,
-        );
-        split(self.activation_bytes, 0, DataKind::Activation, &mut out);
-        out
+        [
+            split(DataKind::Weight, self.weight_bytes, self.weight_unit_bytes),
+            split(DataKind::KvCache, self.kv_bytes, self.kv_unit_bytes),
+            split(DataKind::Activation, self.activation_bytes, 0),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|&(_, bytes, count)| bytes > 0 && count > 0)
+    }
+
+    /// One entry per memory object, in [`Operator::tensor_runs`] order. The
+    /// sum of the returned sizes equals [`Operator::bytes`]. Its length grows
+    /// with the batch; prefer `tensor_runs` wherever a count suffices.
+    pub fn tensor_units(&self) -> Vec<(DataKind, u64)> {
+        self.tensor_runs()
+            .flat_map(|(kind, bytes, count)| std::iter::repeat_n((kind, bytes), count as usize))
+            .collect()
     }
 }
 
@@ -454,5 +451,86 @@ mod tests {
             ..op
         };
         assert!(empty.arithmetic_intensity().is_infinite());
+    }
+
+    #[test]
+    fn tensor_runs_split_objects_and_expand_to_tensor_units() {
+        use DataKind::{Activation, KvCache, Weight};
+        let op = Operator {
+            name: "x".to_string(),
+            kind: OperatorKind::Attention,
+            repeat: 1,
+            weight_bytes: 100,
+            activation_bytes: 50,
+            kv_bytes: 30,
+            flops: 0,
+            weight_unit_bytes: 40,
+            kv_unit_bytes: 10,
+        };
+        let runs: Vec<_> = op.tensor_runs().collect();
+        assert_eq!(
+            runs,
+            [
+                (Weight, 40, 2),
+                (Weight, 20, 1),
+                (KvCache, 10, 3),
+                (Activation, 50, 1)
+            ]
+        );
+        assert_eq!(
+            op.tensor_units(),
+            [
+                (Weight, 40),
+                (Weight, 40),
+                (Weight, 20),
+                (KvCache, 10),
+                (KvCache, 10),
+                (KvCache, 10),
+                (Activation, 50)
+            ]
+        );
+        // A unit of zero or at least the total is one object; empty kinds
+        // contribute nothing.
+        let whole = Operator {
+            weight_unit_bytes: 100,
+            kv_bytes: 0,
+            activation_bytes: 0,
+            ..op
+        };
+        assert_eq!(whole.tensor_runs().collect::<Vec<_>>(), [(Weight, 100, 1)]);
+        let zero_unit = Operator {
+            weight_unit_bytes: 0,
+            ..whole
+        };
+        assert_eq!(zero_unit.tensor_units(), [(Weight, 100)]);
+
+        let mut steps = Vec::new();
+        for model in ModelConfig::paper_models() {
+            for batch in [8, 64] {
+                steps.push(decode_step(
+                    &model,
+                    &Parallelism::paper_decode(&model),
+                    batch,
+                    8192,
+                ));
+                steps.push(prefill_step(
+                    &model,
+                    &Parallelism::paper_prefill(&model),
+                    batch,
+                    512,
+                ));
+            }
+        }
+        for op in steps.iter().flat_map(|s| &s.operators) {
+            let runs: Vec<_> = op.tensor_runs().collect();
+            assert!(runs.len() <= 5, "{}: {} runs", op.name, runs.len());
+            let expanded: Vec<_> = runs
+                .iter()
+                .flat_map(|&(kind, bytes, count)| (0..count).map(move |_| (kind, bytes)))
+                .collect();
+            assert_eq!(expanded, op.tensor_units(), "{}", op.name);
+            let total: u64 = runs.iter().map(|&(_, bytes, count)| bytes * count).sum();
+            assert_eq!(total, op.bytes(), "{}", op.name);
+        }
     }
 }

@@ -303,7 +303,10 @@ impl ScenarioSpec {
     /// A shape-based cost proxy for admission control, in abstract units
     /// roughly proportional to the number of simulated fragments the
     /// scenario will push through a run loop. Analytic scenarios (sweeps,
-    /// TPOT) cost ~1; a calibration is a fixed sampled cycle-accurate run;
+    /// TPOT) cost 1 at any batch: their step model and channel load-balance
+    /// rate are closed forms whose work does not grow with the batch or the
+    /// number of memory objects. A calibration is a fixed sampled
+    /// cycle-accurate run;
     /// loop scenarios scale with their traffic and point counts. The proxy
     /// is intentionally cheap and conservative — it is compared against
     /// `AdmissionConfig::max_batch_cost` before anything runs, so it must

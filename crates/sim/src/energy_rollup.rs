@@ -85,9 +85,8 @@ fn rome_counts(step: &StepTraffic, row_bytes: u64) -> CommandCounts {
     let mut row_commands = 0u64;
     for op in &step.operators {
         let per_exec: u64 = op
-            .tensor_units()
-            .iter()
-            .map(|(_, b)| b.div_ceil(row_bytes))
+            .tensor_runs()
+            .map(|(_, bytes, count)| count * bytes.div_ceil(row_bytes))
             .sum();
         row_commands += per_exec * op.repeat as u64;
     }

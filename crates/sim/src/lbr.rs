@@ -9,6 +9,36 @@
 //! of an operator is the ratio of the mean to the maximum per-channel load;
 //! the LBR of a step is the traffic-weighted average over its operators
 //! (attention and FFN reported separately, as in the paper).
+//!
+//! # Closed form
+//!
+//! The k-th object of an operator (counted across its
+//! [`Operator::tensor_runs`]) starts at channel `k mod C`, puts its
+//! `full = ⌊b/g⌋` whole `g`-byte chunks on consecutive channels and its
+//! `tail = b mod g` bytes on the channel after them. The objects of one run
+//! have equal size, so the loads a run of `n` objects of `b` bytes adds,
+//! starting at channel `s`, follow without visiting the objects:
+//!
+//! - every channel gets `n·⌊full/C⌋·g` from the complete stripes;
+//! - each of the `⌊n/C⌋` complete laps of `C` objects puts one partial
+//!   stripe of `full mod C` chunks and one tail on every channel, so every
+//!   channel also gets `⌊n/C⌋·((full mod C)·g + tail)`;
+//! - the `j`-th of the `n mod C` leftover objects adds `g` on the
+//!   `full mod C` channels from `s + j`, and their tails cover the
+//!   `n mod C` consecutive channels from `s + full`, one each;
+//! - the next run starts at channel `(s + n) mod C`.
+//!
+//! Each term is an add over a cyclic range of channels, collected in a
+//! difference array that is prefix-summed once. An operator (at most five
+//! runs) thus costs O(C) whatever its batch, where walking the objects cost
+//! O(C) per object.
+//!
+//! The loads are integers, each at most [`Operator::bytes`], so they are
+//! accumulated exactly as `u64` and converted to `f64` once, right before
+//! the ratio. The per-object walk this replaces summed the same whole byte
+//! counts in `f64`, exactly as long as they stay below 2⁵³; on every such
+//! operator both give the same loads and hence bit-identical LBRs. The walk
+//! survives as the test-only reference the closed form is checked against.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,26 +56,19 @@ pub struct LbrReport {
     pub overall: f64,
 }
 
-/// Distribute one object of `bytes` bytes over `loads.len()` channels in
-/// `granularity`-byte chunks, starting at channel `start`.
-fn distribute(loads: &mut [f64], bytes: u64, granularity: u64, start: usize) {
-    let channels = loads.len();
-    if bytes == 0 || channels == 0 {
-        return;
-    }
-    let channels_u64 = channels as u64;
-    let full_chunks = bytes / granularity;
-    let tail = bytes % granularity;
-    for (c, load) in loads.iter_mut().enumerate() {
-        let offset = ((c + channels - start) % channels) as u64;
-        if full_chunks > offset {
-            let count = (full_chunks - offset - 1) / channels_u64 + 1;
-            *load += (count * granularity) as f64;
-        }
-    }
-    if tail > 0 {
-        let c = (start + (full_chunks % channels_u64) as usize) % channels;
-        loads[c] += tail as f64;
+/// Add `amount` to the `len <= diff.len()` channels from `from` on,
+/// wrapping past the last channel, in the difference array `diff` of
+/// per-channel loads. Entries may wrap below zero; the prefix sums, which
+/// are the loads, do not.
+fn add_cyclic(diff: &mut [u64], from: usize, len: usize, amount: u64) {
+    let channels = diff.len();
+    let end = from + len;
+    diff[from] = diff[from].wrapping_add(amount);
+    if end < channels {
+        diff[end] = diff[end].wrapping_sub(amount);
+    } else {
+        diff[0] = diff[0].wrapping_add(amount);
+        diff[end - channels] = diff[end - channels].wrapping_sub(amount);
     }
 }
 
@@ -59,26 +82,53 @@ fn lbr_of(loads: &[f64]) -> f64 {
 }
 
 /// The LBR of a single operator execution on a `channels`-channel system with
-/// `granularity`-byte interleaving.
+/// `granularity`-byte interleaving, in O(`channels`) time (see the module
+/// docs).
 pub fn operator_lbr(op: &Operator, channels: u32, granularity: u64) -> f64 {
-    let mut loads = vec![0.0; channels as usize];
-    let mut start = 0usize;
-    for (_, bytes) in op.tensor_units() {
-        distribute(&mut loads, bytes, granularity, start);
-        start = (start + 1) % channels as usize;
+    let c = channels as usize;
+    if c == 0 {
+        return lbr_of(&[]);
     }
+    let c64 = c as u64;
+    let mut diff = vec![0u64; c];
+    let mut start = 0usize; // the channel the run's first object starts on
+    for (_, bytes, count) in op.tensor_runs() {
+        let (full, tail) = (bytes / granularity, bytes % granularity);
+        let partial = (full % c64) as usize;
+        let leftover = (count % c64) as usize;
+        // Complete stripes of every object, and the partial stripes and
+        // tails of each complete lap of `c` objects, load all channels alike.
+        let even = count * (full / c64) * granularity
+            + (count / c64) * (partial as u64 * granularity + tail);
+        add_cyclic(&mut diff, 0, c, even);
+        // The leftover objects' partial stripes, then their tails.
+        for j in 0..leftover {
+            add_cyclic(&mut diff, (start + j) % c, partial, granularity);
+        }
+        add_cyclic(&mut diff, (start + partial) % c, leftover, tail);
+        start = (start + leftover) % c;
+    }
+    let loads: Vec<f64> = diff
+        .iter()
+        .scan(0u64, |load, &d| {
+            *load = load.wrapping_add(d);
+            Some(*load as f64)
+        })
+        .collect();
     lbr_of(&loads)
 }
 
-/// Compute the traffic-weighted channel load-balance rates of `step`.
-pub fn channel_load_balance(step: &StepTraffic, channels: u32, granularity: u64) -> LbrReport {
+/// Fold per-operator LBRs into the traffic-weighted report of their step;
+/// operators without traffic carry no weight.
+pub(crate) fn weighted_report<'a>(
+    per_operator: impl IntoIterator<Item = (&'a Operator, f64)>,
+) -> LbrReport {
     let mut sums = [(0.0f64, 0.0f64); 3]; // (weighted lbr, weight) for attn / ffn / all
-    for op in &step.operators {
+    for (op, lbr) in per_operator {
         let weight = (op.bytes() * op.repeat as u64) as f64;
         if weight == 0.0 {
             continue;
         }
-        let lbr = operator_lbr(op, channels, granularity);
         match op.kind {
             OperatorKind::Attention => {
                 sums[0].0 += lbr * weight;
@@ -101,12 +151,173 @@ pub fn channel_load_balance(step: &StepTraffic, channels: u32, granularity: u64)
     }
 }
 
+/// Compute the traffic-weighted channel load-balance rates of `step`.
+pub fn channel_load_balance(step: &StepTraffic, channels: u32, granularity: u64) -> LbrReport {
+    weighted_report(
+        step.operators
+            .iter()
+            .map(|op| (op, operator_lbr(op, channels, granularity))),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rome_llm::model::ModelConfig;
-    use rome_llm::ops::decode_step;
+    use rome_llm::ops::{decode_step, prefill_step};
     use rome_llm::parallelism::Parallelism;
+
+    use crate::accelerator::AcceleratorSpec;
+    use crate::memory_model::MemoryModel;
+    use crate::sweep::paper_batch_sweep;
+
+    /// Reference: distribute one object of `bytes` bytes over `loads.len()`
+    /// channels in `granularity`-byte chunks, starting at channel `start`.
+    fn distribute(loads: &mut [f64], bytes: u64, granularity: u64, start: usize) {
+        let channels = loads.len();
+        if bytes == 0 || channels == 0 {
+            return;
+        }
+        let channels_u64 = channels as u64;
+        let full_chunks = bytes / granularity;
+        let tail = bytes % granularity;
+        for (c, load) in loads.iter_mut().enumerate() {
+            let offset = ((c + channels - start) % channels) as u64;
+            if full_chunks > offset {
+                let count = (full_chunks - offset - 1) / channels_u64 + 1;
+                *load += (count * granularity) as f64;
+            }
+        }
+        if tail > 0 {
+            let c = (start + (full_chunks % channels_u64) as usize) % channels;
+            loads[c] += tail as f64;
+        }
+    }
+
+    /// Reference: the operator's LBR by walking every memory object.
+    fn reference_operator_lbr(op: &Operator, channels: u32, granularity: u64) -> f64 {
+        let mut loads = vec![0.0; channels as usize];
+        let mut start = 0usize;
+        for (_, bytes) in op.tensor_units() {
+            distribute(&mut loads, bytes, granularity, start);
+            start = (start + 1) % channels as usize;
+        }
+        lbr_of(&loads)
+    }
+
+    fn operator(weight: (u64, u64), kv: (u64, u64), activation_bytes: u64) -> Operator {
+        Operator {
+            name: "random".to_string(),
+            kind: OperatorKind::Attention,
+            repeat: 1,
+            weight_bytes: weight.0,
+            activation_bytes,
+            kv_bytes: kv.0,
+            flops: 0,
+            weight_unit_bytes: weight.1,
+            kv_unit_bytes: kv.1,
+        }
+    }
+
+    /// `(total bytes, unit bytes)` of one data kind: `count` units of `unit`
+    /// bytes plus a remainder, with the unit field zero, at least the total,
+    /// an exact divisor, or a non-divisor.
+    fn kind_sizes() -> impl Strategy<Value = (u64, u64)> {
+        (0u64..700, 1u64..20_000, 0u64..20_000, 0u8..4).prop_map(|(count, unit, rem, shape)| {
+            let rem = rem % unit;
+            match shape {
+                0 => (count * unit + rem, 0),
+                1 => (count * unit + rem, count * unit + rem + rem % 3),
+                2 => (count * unit, unit),
+                _ => (count * unit + rem.max(1) % unit, unit),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn closed_form_matches_the_per_object_walk(
+            weight in kind_sizes(),
+            kv in kind_sizes(),
+            activation in 0u64..100_000,
+            shape in (1u32..301, prop::sample::select(vec![1u64, 32, 100, 4096])),
+        ) {
+            let (channels, granularity) = shape;
+            let op = operator(weight, kv, activation);
+            prop_assert_eq!(
+                operator_lbr(&op, channels, granularity).to_bits(),
+                reference_operator_lbr(&op, channels, granularity).to_bits(),
+                "{:?} on {} channels at {} B",
+                op,
+                channels,
+                granularity
+            );
+        }
+    }
+
+    #[test]
+    fn closed_form_matches_the_per_object_walk_on_every_paper_step() {
+        let accel = AcceleratorSpec::paper_default();
+        let systems = [
+            MemoryModel::hbm4_baseline(&accel),
+            MemoryModel::rome(&accel),
+        ];
+        for model in ModelConfig::paper_models() {
+            let mut steps = vec![prefill_step(
+                &model,
+                &Parallelism::paper_prefill(&model),
+                16,
+                8192,
+            )];
+            for batch in paper_batch_sweep(&model, 8192) {
+                steps.push(decode_step(
+                    &model,
+                    &Parallelism::paper_decode(&model),
+                    batch,
+                    8192,
+                ));
+            }
+            for (step, mem) in steps
+                .iter()
+                .flat_map(|s| systems.iter().map(move |m| (s, m)))
+            {
+                for op in &step.operators {
+                    let (channels, granularity) = (mem.channels, mem.access_granularity);
+                    assert_eq!(
+                        operator_lbr(op, channels, granularity).to_bits(),
+                        reference_operator_lbr(op, channels, granularity).to_bits(),
+                        "{} {:?} batch {} {} on {}",
+                        model.name,
+                        step.stage,
+                        step.batch,
+                        op.name,
+                        mem.kind
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lbr_cost_is_independent_of_the_object_count() {
+        // 2^40 objects of 4 KiB on 288 channels: walking them would take
+        // 16 TiB of unit entries. Object k fills channel k mod 288, so the
+        // 2^40 mod 288 = 160 leftover objects put one extra chunk on channels
+        // 0..160.
+        let objects = 1u64 << 40;
+        let op = operator((objects * 4096, 4096), (0, 0), 0);
+        let laps = objects / 288;
+        assert_eq!(objects % 288, 160);
+        let max = ((laps + 1) * 4096) as f64;
+        let mean = (objects * 4096) as f64 / 288.0;
+        assert_eq!(
+            operator_lbr(&op, 288, 4096).to_bits(),
+            (mean / max).to_bits()
+        );
+    }
 
     fn step(model: &ModelConfig, batch: u64) -> StepTraffic {
         let par = Parallelism::paper_decode(model);

@@ -17,7 +17,7 @@ use rome_llm::traffic::StepTraffic;
 use rome_llm::types::Stage;
 
 use crate::accelerator::{AcceleratorSpec, ServerSpec};
-use crate::lbr::{channel_load_balance, operator_lbr, LbrReport};
+use crate::lbr::{operator_lbr, weighted_report, LbrReport};
 use crate::memory_model::MemoryModel;
 
 /// The timing result of one decode step (or prefill pass).
@@ -53,10 +53,14 @@ fn step_time(
     par: &Parallelism,
     model: &ModelConfig,
 ) -> TpotReport {
+    let lbrs: Vec<f64> = step
+        .operators
+        .iter()
+        .map(|op| operator_lbr(op, mem.channels, mem.access_granularity))
+        .collect();
     let mut memory_bound_ns = 0.0;
     let mut compute_bound_ns = 0.0;
-    for op in &step.operators {
-        let lbr = operator_lbr(op, mem.channels, mem.access_granularity);
+    for (op, &lbr) in step.operators.iter().zip(&lbrs) {
         let bw = mem.effective_bandwidth_gbps(lbr);
         let mem_ns = op.bytes() as f64 / bw;
         let comp_ns = accel.compute_time_ns(op.flops);
@@ -101,7 +105,7 @@ fn step_time(
         memory_bound_ms: memory_bound_ns / 1e6,
         compute_bound_ms: compute_bound_ns / 1e6,
         communication_ms: comm_ns / 1e6,
-        lbr: channel_load_balance(step, mem.channels, mem.access_granularity),
+        lbr: weighted_report(step.operators.iter().zip(lbrs)),
     }
 }
 
@@ -228,6 +232,33 @@ mod tests {
         let small = decode_tpot(&model, 8, 8192, &accel, &rome);
         let large = decode_tpot(&model, 256, 8192, &accel, &rome);
         assert!(large.tpot_ms > small.tpot_ms);
+    }
+
+    #[test]
+    fn report_lbr_matches_channel_load_balance_of_the_step() {
+        use crate::lbr::channel_load_balance;
+        let accel = AcceleratorSpec::paper_default();
+        let model = ModelConfig::deepseek_v3();
+        for mem in [
+            MemoryModel::hbm4_baseline(&accel),
+            MemoryModel::rome(&accel),
+        ] {
+            let t = decode_tpot(&model, 64, 8192, &accel, &mem);
+            let step = decode_step(&model, &Parallelism::paper_decode(&model), 64, 8192);
+            let lbr = channel_load_balance(&step, mem.channels, mem.access_granularity);
+            assert_eq!(t.lbr, lbr);
+        }
+    }
+
+    #[test]
+    fn huge_batches_stay_cheap_and_well_formed() {
+        // The LBR no longer visits one object per sequence, so a batch of
+        // 2^24 costs what a batch of 8 does.
+        let accel = AcceleratorSpec::paper_default();
+        let rome = MemoryModel::rome(&accel);
+        let t = decode_tpot(&ModelConfig::deepseek_v3(), 1 << 24, 8192, &accel, &rome);
+        assert!(t.tpot_ms.is_finite() && t.tpot_ms > 0.0);
+        assert!(t.lbr.overall > 0.0 && t.lbr.overall <= 1.0);
     }
 
     #[test]
