@@ -200,6 +200,14 @@ pub struct ChannelController {
     /// until the same cycle, so they skip without their own probes. Same
     /// monotonicity argument and SoA-only consultation as `pre_ready`.
     act_ready: Vec<Cycle>,
+    /// Cached lower bound on the earliest cycle a column command can issue,
+    /// per command kind (`[0]` RD, `[1]` WR) and flat bank index (0 =
+    /// unknown). A column command's earliest issue depends only on its kind
+    /// and its bank, so one probe answers for every row-hit entry on the
+    /// bank: the SoA column scan parks the others on this bound instead of
+    /// probing each, and probes again only once it expires. Same
+    /// monotonicity argument and SoA-only consultation as `pre_ready`.
+    col_ready: [Vec<Cycle>; 2],
     /// Flat bank indexing shared with the queues' packed bank arrays.
     indexer: BankIndexer,
     write_drain: bool,
@@ -218,10 +226,12 @@ pub struct ChannelController {
     /// feeds the `row_open` span emitted when the row closes.
     act_at: Vec<Cycle>,
     /// Earliest future cycle at which a command the scheduler wanted to
-    /// issue this tick becomes timing-legal. Recorded as a byproduct of the
-    /// tick's failed scheduling attempts (the scan already computes every
-    /// candidate's earliest-issue time), so [`ChannelController::next_event_at`]
-    /// needs no second scan. Only complete after a tick that issued nothing.
+    /// issue this tick becomes timing-legal. Only complete after a tick that
+    /// issued nothing: the refresh logic, the oracle scans and the one-pass
+    /// SoA column scan record it inline as a byproduct of their failed
+    /// attempts, while the two-phase SoA scans leave every blocked bound in
+    /// the queue's packed arrays and the tick reads the minimum back once it
+    /// has issued nothing (see [`ChannelController::hint_from_parked_bounds`]).
     event_hint: Cycle,
 }
 
@@ -253,6 +263,7 @@ impl ChannelController {
             open_mask: vec![0; banks.div_ceil(64)],
             pre_ready: vec![0; banks],
             act_ready: vec![0; banks],
+            col_ready: [vec![0; banks], vec![0; banks]],
             indexer,
             write_drain: false,
             refresh_reserved_bank: None,
@@ -464,7 +475,11 @@ impl ChannelController {
             .peak_queue_occupancy
             .max(self.read_queue.peak_occupancy());
         self.stats.dram = *self.channel.counters();
-        issued_col || issued_row || issued_refresh
+        let issued = issued_col || issued_row || issued_refresh;
+        if !issued && self.config.soa {
+            self.hint_from_parked_bounds(now);
+        }
+        issued
     }
 
     /// The next cycle strictly after `now` at which this controller's state
@@ -476,16 +491,19 @@ impl ChannelController {
     ///
     /// Must be called immediately after a [`ChannelController::tick_into`]
     /// at the same `now` that issued nothing: the scheduling-derived part of
-    /// the answer (`event_hint`) is accumulated during that tick's failed
-    /// issue attempts, which makes this query cheap. The returned cycle is a
-    /// *lower bound* on the next state change — an event-driven driver that
+    /// the answer (`event_hint`) is computed at the end of that tick, from
+    /// the bounds its failed issue attempts stored, which makes this query
+    /// cheap. A tick that issues a command skips that work, since the
+    /// event-driven drivers advance one cycle after it without asking. The
+    /// returned cycle is a *lower bound* on the next state change — an
+    /// event-driven driver that
     /// ticks at every reported cycle executes the exact command schedule of
     /// a cycle-by-cycle driver, because nothing the scheduler consults
     /// changes between the reported cycles. Spurious events (a reported
     /// cycle where the scheduler still issues nothing) are harmless.
     ///
     /// The query is O(1) on the hot path: the scheduler's part is the
-    /// accumulated `event_hint`, the in-flight part is a heap peek, the
+    /// precomputed `event_hint`, the in-flight part is a heap peek, the
     /// refresh part is the cached minimum refresh due time (with an
     /// O(ranks) fallback only while a due refresh is postponed), and the
     /// starvation part looks at each queue's head.
@@ -543,6 +561,34 @@ impl ChannelController {
         if at < self.event_hint {
             self.event_hint = at;
         }
+    }
+
+    /// Whether the active queue's oldest request has waited past the
+    /// starvation threshold, which switches the column scan to serving it
+    /// first.
+    fn starved(&self, now: Cycle) -> bool {
+        self.active_queue().oldest_age(now) > self.config.starvation_threshold
+    }
+
+    /// Complete `event_hint` after an SoA tick that issued nothing. The
+    /// two-phase scans keep no running hint: every entry they find blocked
+    /// either already holds a future bound or gets one stored (in
+    /// `ready_at` by the column scan, in `act_ready_at` by the row scan),
+    /// so the minimum future bound over the entries each scan considers is
+    /// exactly the hint the scans would have accumulated. The column part
+    /// applies only when the column scan ran in its two-phase FR-FCFS form;
+    /// the one-pass form records its hint inline. The row part covers the
+    /// row-relevant entries: not a row hit and not pinned open by the
+    /// adaptive page policy.
+    fn hint_from_parked_bounds(&mut self, now: Cycle) {
+        let two_phase_column =
+            self.config.scheduling == SchedulingPolicy::FrFcfs && !self.starved(now);
+        let queue = self.active_queue();
+        let mut hint = queue.earliest_row_park_after(now);
+        if two_phase_column {
+            hint = hint.min(queue.earliest_column_ready_after(now));
+        }
+        self.hint_event(hint);
     }
 
     fn collect_completions_into(&mut self, now: Cycle, done: &mut Vec<CompletedRequest>) {
@@ -633,22 +679,16 @@ impl ChannelController {
                         let idx = self.bank_index(bank);
                         // Postpone a non-urgent refresh while requests are
                         // pending for this bank (the paper's "optionally
-                        // postponing REFs based on each bank's state").
-                        if !urgent {
-                            let probe_addr = rome_hbm::address::DramAddress {
-                                channel: 0,
-                                bank,
-                                row: 0,
-                                column: 0,
-                            };
-                            if self.read_queue.has_pending_for_bank(probe_addr)
-                                || self.write_queue.has_pending_for_bank(probe_addr)
-                            {
-                                // Postponed until the bank drains or the
-                                // refresh becomes urgent.
-                                self.hint_event(self.refresh[rank].urgent_at());
-                                continue;
-                            }
+                        // postponing REFs based on each bank's state"),
+                        // answered by the queues' per-bank counts.
+                        if !urgent
+                            && (self.read_queue.bank_counts()[idx] > 0
+                                || self.write_queue.bank_counts()[idx] > 0)
+                        {
+                            // Postponed until the bank drains or the refresh
+                            // becomes urgent.
+                            self.hint_event(self.refresh[rank].urgent_at());
+                            continue;
                         }
                         // If the bank has an open row, it must be precharged
                         // first; only force this when the refresh is urgent,
@@ -761,7 +801,7 @@ impl ChannelController {
     /// `true` if a command was issued.
     fn schedule_column(&mut self, now: Cycle) -> bool {
         let is_write_phase = self.write_drain;
-        let starved = self.active_queue().oldest_age(now) > self.config.starvation_threshold;
+        let starved = self.starved(now);
 
         // Per-pseudo-channel gate: the PC scope bounds the earliest issue of
         // every column command on that PC, so a blocked PC disqualifies all
@@ -784,7 +824,8 @@ impl ChannelController {
         // Gather the candidate index: oldest entry whose row is open and
         // whose column command is issuable now. Entries blocked only by
         // timing feed the event hint with (a lower bound on) their
-        // earliest-issue cycle.
+        // earliest-issue cycle — inline in the oracle and one-pass scans,
+        // through their stored bounds in the two-phase SoA scan.
         //
         // Ready cache: a bound computed for a blocked entry is stored in the
         // queue and the entry is skipped with one comparison on subsequent
@@ -800,6 +841,7 @@ impl ChannelController {
                 channel,
                 open_rows,
                 open_mask,
+                col_ready,
                 indexer,
                 read_queue,
                 write_queue,
@@ -839,30 +881,35 @@ impl ChannelController {
                 let mut hint = Cycle::MAX;
                 if frfcfs && !starved {
                     // Two-phase blocked scan. Phase 1 is a branchless sweep
-                    // over one `PREPASS_BLOCK` of entries: it min-reduces
-                    // the cached bounds of hint-blocked entries (their only
-                    // effect on the oracle) and collects the entries that
-                    // need real work — expired hint AND open row match —
-                    // into a per-block bitmask (a branchless shift-or, so
-                    // the randomly open/closed banks cost no branch
-                    // mispredicts). Phase 2 runs the
-                    // pseudo-channel gate and earliest-issue probes over the
-                    // (few) candidates in age order — identical decisions to
-                    // the one-pass loop. Sweeping block-by-block keeps the
-                    // one-pass loop's early exit: an issuing tick stops
-                    // within one block of the entry it picks. The hint may
-                    // pick up contributions the oracle skips after its
-                    // candidate-found break; those are valid lower bounds,
-                    // and on an issuing tick the hint is never consulted.
+                    // over one `PREPASS_BLOCK` of entries that collects the
+                    // entries needing real work — expired bound AND open
+                    // row match — into a per-block bitmask (a branchless
+                    // shift-or, so the randomly open/closed banks cost no
+                    // branch mispredicts). Phase 2 runs the pseudo-channel
+                    // gate, the per-bank `col_ready` bound and the
+                    // earliest-issue probes over the (few) candidates in age
+                    // order — identical decisions to the one-pass loop.
+                    // Sweeping block-by-block keeps the one-pass loop's
+                    // early exit: an issuing tick stops within one block of
+                    // the entry it picks. Every blocked candidate stores its
+                    // bound in `ready_at`, so the scan keeps no wakeup hint:
+                    // a tick that issues nothing reads the minimum back from
+                    // the stored bounds.
+                    //
+                    // A candidate whose bank bound lies in the future is
+                    // parked on it without a probe. The entry whose probe set
+                    // that bound still holds it in `ready_at` (only an
+                    // expired bound is ever overwritten, and no entry issues
+                    // before its bound), so the stored minimum — the hint —
+                    // is the same as if every candidate had been probed.
+                    let col_ready = &mut col_ready[is_write_phase as usize];
                     let mut base = 0usize;
                     'col: while base < n {
                         let end = (base + PREPASS_BLOCK).min(n);
                         let mut cand_mask: u32 = 0;
                         for i in base..end {
-                            let cached = ready_at[i];
-                            let valid = cached > now;
-                            hint = hint.min(if valid { cached } else { Cycle::MAX });
-                            cand_mask |= ((!valid & (row_match[i] == 1)) as u32) << (i - base);
+                            cand_mask |=
+                                (((ready_at[i] <= now) & (row_match[i] == 1)) as u32) << (i - base);
                         }
                         let block = base;
                         base = end;
@@ -872,8 +919,11 @@ impl ChannelController {
                             let b = bank[i] as usize;
                             let pc = indexer.pseudo_channel_of(b);
                             if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                                hint = hint.min(pc_bound[pc]);
                                 ready_at[i] = pc_bound[pc];
+                                continue;
+                            }
+                            if col_ready[b] > now {
+                                ready_at[i] = col_ready[b];
                                 continue;
                             }
                             let e = entries.entry(i);
@@ -883,8 +933,8 @@ impl ChannelController {
                                 found = Some(i);
                                 break 'col;
                             }
-                            hint = hint.min(at);
                             ready_at[i] = at;
+                            col_ready[b] = at;
                         }
                     }
                 } else {
@@ -1000,21 +1050,17 @@ impl ChannelController {
         }
 
         let Some(index) = candidate else { return false };
-        let entry = if is_write_phase {
-            self.write_queue
-                .remove(index)
-                .expect("candidate index valid")
+        let queue = if is_write_phase {
+            &mut self.write_queue
         } else {
-            self.read_queue
-                .remove(index)
-                .expect("candidate index valid")
+            &mut self.read_queue
         };
-        let idx = self.bank_index(entry.dram.bank);
-        let pending_hit = if is_write_phase {
-            self.write_queue.has_pending_row_hit(entry.dram)
-        } else {
-            self.read_queue.has_pending_row_hit(entry.dram)
-        };
+        let entry = queue.remove(index).expect("candidate index valid");
+        let idx = self.indexer.flat(entry.dram.bank);
+        // The chosen entry hits its bank's open row, so the queued entries
+        // that still want that row are exactly the bank's remaining
+        // open-row hits: an O(1) count instead of a CAM walk.
+        let pending_hit = queue.open_row_hits()[idx] > 0;
         let auto_precharge = self.config.page_policy.auto_precharge(pending_hit);
         let cmd = column_command(&entry, auto_precharge);
         let result = self
@@ -1113,7 +1159,6 @@ impl ChannelController {
                 let keep_open = &keep_open[..n];
                 let mut act: Option<(usize, u32, BankAddress)> = None;
                 let mut pre: Option<BankAddress> = None;
-                let mut hint = Cycle::MAX;
                 // Two-phase blocked scan. The pre-pass needs only three
                 // position-indexed loads per entry (no per-bank gathers,
                 // no data-dependent branches): an entry is *relevant*
@@ -1122,10 +1167,14 @@ impl ChannelController {
                 // page policy (`keep_open` — its bank's open row is still
                 // wanted, where the oracle's CAM walk contributes neither
                 // action nor hint). A relevant entry whose park bound
-                // (`act_ready_at`) lies in the future contributes that
-                // bound to the wakeup hint and is retired; survivors land
-                // in a per-block bitmask for the full scheduling body
-                // below. `act_ready_at` doubles as a unified park bound:
+                // (`act_ready_at`) lies in the future is retired;
+                // survivors land in a per-block bitmask for the full
+                // scheduling body below, and each one found blocked
+                // stores its bound in `act_ready_at`. The scan therefore
+                // keeps no wakeup hint: a tick that issues nothing reads
+                // the minimum future park bound of the relevant entries
+                // back, which is what the scan would have accumulated.
+                // `act_ready_at` doubles as a unified park bound:
                 // a cached ACT bound while the bank is closed, a cached
                 // PRE bound while it is open. A bound cached under one
                 // polarity stays valid across a flip — any PRE to the
@@ -1134,32 +1183,24 @@ impl ChannelController {
                 // bound still lower-bounds the entry's next possible row
                 // action. Sweeping block-by-block keeps the one-pass
                 // loop's early exit: an ACT-issuing tick stops within one
-                // block of the entry it picks. Reserved-bank entries may
-                // add a spurious-but-valid extra hint, which at worst
-                // wakes the event driver early.
+                // block of the entry it picks. Parked reserved-bank
+                // entries may add a spurious-but-valid extra hint, which
+                // at worst wakes the event driver early.
                 let mut base = 0usize;
                 'row: while base < n {
                     // Once a PRE candidate is chosen and every rank is
                     // known ACT-blocked, no later entry can produce the
                     // higher-priority ACT: the scan's outcome is decided
-                    // (the tick will issue the PRE, so the accumulated
-                    // wakeup hint is never consulted) and the tail of the
-                    // walk is skipped.
+                    // (the tick will issue the PRE, so no wakeup hint is
+                    // needed) and the tail of the walk is skipped.
                     if pre.is_some() && rank_blocked == all_ranks_mask {
                         break;
                     }
                     let end = (base + PREPASS_BLOCK).min(n);
                     let mut cand_mask: u32 = 0;
                     for i in base..end {
-                        let parked_at = act_ready_at[i];
-                        let parked = parked_at > now;
                         let relevant = (row_match[i] == 0) & (keep_open[i] == 0);
-                        hint = hint.min(if relevant & parked {
-                            parked_at
-                        } else {
-                            Cycle::MAX
-                        });
-                        cand_mask |= ((relevant & !parked) as u32) << (i - base);
+                        cand_mask |= ((relevant & (act_ready_at[i] <= now)) as u32) << (i - base);
                     }
                     let block = base;
                     base = end;
@@ -1172,11 +1213,6 @@ impl ChannelController {
                         }
                         if open_mask[b >> 6] >> (b & 63) & 1 == 0 {
                             if act.is_none() {
-                                let cached = act_ready_at[i];
-                                if cached > now {
-                                    hint = hint.min(cached);
-                                    continue;
-                                }
                                 // Bank-level ACT bound cached by an earlier
                                 // probe (possibly for a different entry on
                                 // the same bank): valid for this entry too,
@@ -1190,7 +1226,6 @@ impl ChannelController {
                                 // common bank-parked path.
                                 let bank_bound = act_ready[b];
                                 if bank_bound > now {
-                                    hint = hint.min(bank_bound);
                                     act_ready_at[i] = bank_bound;
                                     continue;
                                 }
@@ -1209,7 +1244,6 @@ impl ChannelController {
                                     channel.rank_act_bound(indexer.rank_address(b))
                                 };
                                 if rank_bound > now {
-                                    hint = hint.min(rank_bound);
                                     act_ready_at[i] = rank_bound;
                                 } else {
                                     let dram = entries.entry(i).dram;
@@ -1222,7 +1256,6 @@ impl ChannelController {
                                         act = Some((i, dram.row, dram.bank));
                                     } else {
                                         let at = at.max(now + 1);
-                                        hint = hint.min(at);
                                         act_ready_at[i] = at;
                                         act_ready[b] = at;
                                     }
@@ -1242,7 +1275,6 @@ impl ChannelController {
                             if pre.is_none() {
                                 let cached = pre_ready[b];
                                 if cached > now {
-                                    hint = hint.min(cached);
                                     // Park this entry on the bank bound so
                                     // the pre-pass retires it until the
                                     // bound expires.
@@ -1269,7 +1301,6 @@ impl ChannelController {
                                     if at <= now {
                                         pre = Some(dram.bank);
                                     } else {
-                                        hint = hint.min(at);
                                         pre_ready[b] = at;
                                         act_ready_at[i] = at;
                                     }
@@ -1286,7 +1317,7 @@ impl ChannelController {
                 } else {
                     pre.map(|bank| RowAction::Pre { bank })
                 };
-                (action, hint)
+                (action, Cycle::MAX)
             } else {
                 let use_cache = config.ready_cache;
                 let mut act: Option<(usize, u32, BankAddress)> = None;
@@ -1765,6 +1796,42 @@ mod tests {
                 "keep-open flags diverged"
             );
         }
+        // Per-bank column bounds ⇔ lower bounds on the constraint engine's
+        // answer. Probing at cycle 0 leaves only the constraints themselves
+        // (`earliest_issue` clamps to its `now`), so this is the strictest
+        // form of the invariant the SoA column scan parks entries on.
+        let org = ctrl.config.organization;
+        for pc in 0..org.pseudo_channels {
+            for sid in 0..org.stack_ids {
+                for bg in 0..org.bank_groups {
+                    for ba in 0..org.banks_per_group {
+                        let bank = BankAddress::new(pc, sid, bg, ba);
+                        let b = ctrl.indexer.flat(bank);
+                        let target = CommandTarget::from_bank_address(bank);
+                        let column = [
+                            DramCommand::Rd {
+                                target,
+                                column: 0,
+                                auto_precharge: false,
+                            },
+                            DramCommand::Wr {
+                                target,
+                                column: 0,
+                                auto_precharge: false,
+                            },
+                        ];
+                        for (k, cmd) in column.iter().enumerate() {
+                            let earliest = ctrl.channel.earliest_issue(cmd, 0);
+                            assert!(
+                                ctrl.col_ready[k][b] <= earliest,
+                                "col_ready[{k}][{b}] = {} exceeds earliest issue {earliest}",
+                                ctrl.col_ready[k][b]
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -1772,7 +1839,9 @@ mod tests {
 
         /// Random enqueue/issue/refresh sequences: after every tick, every
         /// bitmask the SoA scans consult must match a from-scratch per-bank
-        /// recount, and the SoA and oracle controllers must stay in lockstep.
+        /// recount, every per-bank column bound must lower-bound the
+        /// constraint engine, and the SoA and oracle controllers must stay
+        /// in lockstep.
         #[test]
         fn bitmasks_match_a_from_scratch_per_bank_oracle(
             ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..12), 1..32),

@@ -147,8 +147,8 @@ pub struct RequestQueue {
     bank: Vec<u16>,
     /// The entry's target row.
     row: Vec<u32>,
-    /// The entry's channel id (CAM queries compare it; see
-    /// [`RequestQueue::has_pending_for_bank`]).
+    /// The entry's channel id (the row-hit CAM query compares it; see
+    /// [`RequestQueue::has_pending_row_hit`]).
     chan: Vec<u16>,
     /// 1 iff the entry's bank currently has the entry's row open (an
     /// incrementally maintained copy of the scheduler's row-hit predicate;
@@ -586,14 +586,37 @@ impl RequestQueue {
         })
     }
 
-    /// Whether any queued entry targets the given bank.
-    pub fn has_pending_for_bank(&self, addr: DramAddress) -> bool {
-        let flat = self.indexer.flat(addr.bank);
-        if self.bank_count[flat] == 0 {
-            return false;
+    /// The earliest cached column-ready bound later than `now` over all
+    /// entries (`Cycle::MAX` if none). After a two-phase SoA column scan
+    /// that found nothing issuable, this is the scan's wakeup hint.
+    pub(crate) fn earliest_column_ready_after(&self, now: Cycle) -> Cycle {
+        self.ready_at.iter().fold(Cycle::MAX, |m, &at| {
+            m.min(if at > now { at } else { Cycle::MAX })
+        })
+    }
+
+    /// The earliest cached row-command park bound (`act_ready_at`) later
+    /// than `now` over the entries that need a row command: not a row hit
+    /// and not pinned open by the adaptive page policy (`Cycle::MAX` if
+    /// none). After an SoA row scan that found nothing issuable, this is
+    /// the scan's wakeup hint.
+    pub(crate) fn earliest_row_park_after(&self, now: Cycle) -> Cycle {
+        let n = self.slot.len();
+        let (at, row_match, keep_open) = (
+            &self.act_ready_at[..n],
+            &self.row_match[..n],
+            &self.keep_open[..n],
+        );
+        let mut min = Cycle::MAX;
+        for i in 0..n {
+            let relevant = (row_match[i] == 0) & (keep_open[i] == 0);
+            min = min.min(if relevant & (at[i] > now) {
+                at[i]
+            } else {
+                Cycle::MAX
+            });
         }
-        let flat = flat as u16;
-        (0..self.slot.len()).any(|i| self.bank[i] == flat && self.chan[i] == addr.channel)
+        min
     }
 
     /// Split-borrow view over the hot parallel arrays for one scheduler
@@ -749,8 +772,10 @@ mod tests {
         let other_bank = DramAddress::new(0, BankAddress::new(0, 0, 0, 3), 7, 5);
         assert!(q.has_pending_row_hit(same_row));
         assert!(!q.has_pending_row_hit(other_row));
-        assert!(q.has_pending_for_bank(other_row));
-        assert!(!q.has_pending_for_bank(other_bank));
+        assert!(!q.has_pending_row_hit(other_bank));
+        let flat = |a: DramAddress| q.indexer.flat(a.bank);
+        assert_eq!(q.bank_counts()[flat(other_row)], 1);
+        assert_eq!(q.bank_counts()[flat(other_bank)], 0);
     }
 
     #[test]

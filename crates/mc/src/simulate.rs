@@ -97,6 +97,25 @@ mod tests {
     }
 
     #[test]
+    fn queue_depth_runs_take_their_golden_tick_counts() {
+        // The §V-A queue-depth sweep. `total_cycles` counts the ticks the
+        // event-driven driver visits, so it pins the wakeup hint exactly.
+        let ticks: Vec<u64> = [1usize, 2, 4, 8, 16, 32, 45, 64]
+            .into_iter()
+            .map(|depth| {
+                let mut ctrl =
+                    ChannelController::new(ControllerConfig::hbm4_with_queue_depth(depth));
+                run_to_completion(&mut ctrl, workload::streaming_reads(0, 512 * 1024, 32));
+                ctrl.stats().total_cycles
+            })
+            .collect();
+        assert_eq!(
+            ticks,
+            [18_919, 20_608, 12_349, 11_587, 10_996, 9_459, 8_929, 8_530]
+        );
+    }
+
+    #[test]
     fn ready_cache_does_not_change_reports() {
         let reqs = workload::read_write_mix(0, 16 * 1024, 32, 4);
         let mut with_cache = ChannelController::new(ControllerConfig::hbm4_baseline());

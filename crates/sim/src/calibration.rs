@@ -91,6 +91,17 @@ pub fn interleaved_streams(
     out
 }
 
+/// The request stream the HBM4 calibration replays: the interleaved
+/// streams at cache-line (32 B) granularity.
+fn hbm4_calibration_trace() -> Vec<MemoryRequest> {
+    interleaved_streams(
+        CALIBRATION_STREAMS,
+        CALIBRATION_BYTES_PER_STREAM,
+        32,
+        CALIBRATION_SEED,
+    )
+}
+
 impl Calibrator {
     /// Create an empty calibrator (results are computed lazily).
     pub fn new() -> Self {
@@ -104,12 +115,7 @@ impl Calibrator {
         if let Some(r) = self.hbm4 {
             return r;
         }
-        let reqs = interleaved_streams(
-            CALIBRATION_STREAMS,
-            CALIBRATION_BYTES_PER_STREAM,
-            32,
-            CALIBRATION_SEED,
-        );
+        let reqs = hbm4_calibration_trace();
         let base_cfg = ControllerConfig::hbm4_baseline();
         let mut best: Option<CalibrationResult> = None;
         for mapping in MappingScheme::sweep_candidates(base_cfg.organization, 1) {
@@ -269,6 +275,7 @@ impl CalibrationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rome_mc::AddressMapping;
 
     #[test]
     fn interleaved_streams_round_robin_across_streams() {
@@ -353,6 +360,100 @@ mod tests {
         let iso = cache.get_or_calibrate(MemorySystemKind::RomeIsoBandwidth);
         assert!(cache.is_warm(MemorySystemKind::Rome));
         assert_eq!(iso, cache.get_or_calibrate(MemorySystemKind::Rome));
+    }
+
+    #[test]
+    fn hbm4_calibration_candidates_take_their_golden_tick_counts() {
+        // `total_cycles` counts the controller ticks the event-driven driver
+        // visits, so it pins the wakeup hint exactly: a looser hint adds
+        // spurious ticks, a tighter one skips needed ones (and then usually
+        // changes the schedule too).
+        let base = ControllerConfig::hbm4_baseline();
+        let ticks: Vec<u64> = MappingScheme::sweep_candidates(base.organization, 1)
+            .into_iter()
+            .map(|mapping| {
+                let mut cfg = base.clone();
+                cfg.mapping = mapping;
+                let mut ctrl = ChannelController::new(cfg);
+                mc_simulate::run_to_completion(&mut ctrl, hbm4_calibration_trace());
+                ctrl.stats().total_cycles
+            })
+            .collect();
+        assert_eq!(ticks, [41_325, 40_572, 41_206, 20_963]);
+    }
+
+    /// Feeds requests to a [`ChannelController`] through `enqueue_mapped`
+    /// with every entry tagged as channel `channel` — the way a
+    /// multi-channel `MemorySystem` hands a controller its share.
+    struct TaggedChannel {
+        ctrl: ChannelController,
+        channel: u16,
+    }
+
+    impl rome_engine::MemoryController for TaggedChannel {
+        type Entry = rome_mc::queue::QueueEntry;
+
+        fn enqueue(&mut self, request: MemoryRequest) -> bool {
+            let mut dram = self.ctrl.config().mapping.map(request.address);
+            dram.channel = self.channel;
+            self.enqueue_entry(rome_mc::queue::QueueEntry { request, dram })
+        }
+
+        fn enqueue_entry(&mut self, entry: Self::Entry) -> bool {
+            self.ctrl.enqueue_mapped(entry)
+        }
+
+        fn entry_kind(entry: &Self::Entry) -> rome_mc::RequestKind {
+            entry.request.kind
+        }
+
+        fn tick_into(
+            &mut self,
+            now: rome_hbm::units::Cycle,
+            completed: &mut Vec<rome_mc::request::CompletedRequest>,
+        ) -> bool {
+            self.ctrl.tick_into(now, completed)
+        }
+
+        fn next_event_at(&self, now: rome_hbm::units::Cycle) -> Option<rome_hbm::units::Cycle> {
+            self.ctrl.next_event_at(now)
+        }
+
+        fn is_idle(&self) -> bool {
+            self.ctrl.is_idle()
+        }
+
+        fn slots_free(&self) -> usize {
+            self.ctrl.slots_free()
+        }
+
+        fn slots_free_for(&self, kind: rome_mc::RequestKind) -> usize {
+            rome_engine::MemoryController::slots_free_for(&self.ctrl, kind)
+        }
+
+        fn stats_snapshot(&self) -> rome_engine::StatsSnapshot {
+            rome_engine::MemoryController::stats_snapshot(&self.ctrl)
+        }
+    }
+
+    #[test]
+    fn refresh_postponement_does_not_depend_on_the_channel_id() {
+        // A controller inside a multi-channel system holds entries tagged
+        // with its global channel id. Whether a due per-bank refresh is
+        // postponed for pending work must not depend on that tag.
+        let run = |channel: u16| {
+            let mut tagged = TaggedChannel {
+                ctrl: ChannelController::new(ControllerConfig::hbm4_baseline()),
+                channel,
+            };
+            let report = mc_simulate::run_to_completion(&mut tagged, hbm4_calibration_trace());
+            (report, tagged.ctrl.stats().clone())
+        };
+        let (report0, stats0) = run(0);
+        let (report5, stats5) = run(5);
+        assert_eq!(report0, report5);
+        assert_eq!(stats0, stats5);
+        assert!(stats0.refreshes_issued > 0);
     }
 
     #[test]
