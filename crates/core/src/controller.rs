@@ -13,13 +13,12 @@
 //! against the cycle-accurate channel model in `generator.rs` tests, so the
 //! interface-level timing used here is known to be achievable.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
 use rome_engine::trace::{FlightRecorder, TraceBuffer, TraceConfig, TraceEvent, TraceEventKind};
-use rome_engine::EventHorizon;
+use rome_engine::{CompletionQueue, EventHorizon};
 use rome_hbm::organization::Organization;
 use rome_hbm::timing::TimingParams;
 use rome_hbm::units::Cycle;
@@ -28,7 +27,7 @@ use rome_mc::request::{CompletedRequest, MemoryRequest, RequestKind};
 
 use crate::generator::{CommandGenerator, ExpansionCounts};
 use crate::refresh::VbaRefreshScheduler;
-use crate::row_command::{RowCommand, RowCommandKind, VbaAddress};
+use crate::row_command::{RowCommandKind, VbaAddress};
 use crate::stats::RomeStats;
 use crate::timing::RomeTimingParams;
 use crate::vba::VbaConfig;
@@ -100,30 +99,6 @@ pub struct RomeQueueEntry {
     pub row: u32,
 }
 
-/// Ordered by `(complete_at, seq)` so the in-flight set can live in a
-/// min-heap (wrapped in [`Reverse`]): completions pop in completion order
-/// and the next completion time is a peek.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InFlight {
-    entry: RomeQueueEntry,
-    complete_at: Cycle,
-    /// Monotone issue sequence number (tie-breaker for equal completion
-    /// times).
-    seq: u64,
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.complete_at, self.seq).cmp(&(other.complete_at, other.seq))
-    }
-}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 struct LastIssue {
     at: Cycle,
@@ -150,12 +125,12 @@ pub struct RomeController {
     /// predicate in the same order, so decisions are bit-identical; see
     /// [`RomeController::set_soa`].
     soa: bool,
-    /// In-flight row transfers, ordered by completion time (min-heap):
-    /// completions are popped, never scanned, and the next completion time
-    /// is an O(1) peek for [`RomeController::next_event_at`].
-    in_flight: BinaryHeap<Reverse<InFlight>>,
-    /// Issue sequence counter feeding [`InFlight::seq`].
-    inflight_seq: u64,
+    /// In-flight row transfers in one FIFO per direction: an `RD_row`
+    /// completes `data_complete_offset` after issue and a `WR_row` its own
+    /// constant offset, so each lane is already in completion order.
+    /// Completions pop from the lane heads, and the next completion time is
+    /// an O(1) look at them for [`RomeController::next_event_at`].
+    in_flight: CompletionQueue<RomeQueueEntry>,
     /// Busy-until per (stack ID, VBA).
     vba_busy_until: Vec<Cycle>,
     refresh: Vec<VbaRefreshScheduler>,
@@ -230,8 +205,7 @@ impl RomeController {
             hot_vba: Vec::with_capacity(config.queue_capacity),
             hot_write: Vec::with_capacity(config.queue_capacity),
             soa: true,
-            in_flight: BinaryHeap::new(),
-            inflight_seq: 0,
+            in_flight: CompletionQueue::new(),
             refresh,
             refresh_due_min,
             last_issue: None,
@@ -405,9 +379,9 @@ impl RomeController {
     /// bound on the next state change, so an event-driven driver that ticks
     /// at every reported cycle reproduces the cycle-stepped schedule exactly.
     ///
-    /// O(1) on the hot path: accumulated hint, in-flight heap peek, and the
-    /// cached refresh due minimum (O(ranks) fallback only while a due
-    /// refresh is waiting for its VBA).
+    /// O(1) on the hot path: accumulated hint, the heads of the read and
+    /// write completion lanes, and the cached refresh due minimum (O(ranks)
+    /// fallback only while a due refresh is waiting for its VBA).
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon = EventHorizon::new(now);
 
@@ -415,9 +389,7 @@ impl RomeController {
             horizon.consider(self.event_hint);
         }
 
-        if let Some(Reverse(inflight)) = self.in_flight.peek() {
-            horizon.consider(inflight.complete_at);
-        }
+        horizon.consider_opt(self.in_flight.next_at());
 
         if self.refresh_due_min > now {
             horizon.consider(self.refresh_due_min);
@@ -452,21 +424,16 @@ impl RomeController {
     }
 
     fn collect_completions_into(&mut self, now: Cycle, done: &mut Vec<CompletedRequest>) {
-        // The heap is ordered by completion time, so only due transfers are
-        // ever touched — no scan over the rest of the in-flight set.
-        while self
-            .in_flight
-            .peek()
-            .is_some_and(|Reverse(f)| f.complete_at <= now)
-        {
-            let Reverse(f) = self.in_flight.pop().expect("peeked entry present");
-            let req = f.entry.request;
+        // The lanes are in completion order, so only due transfers are ever
+        // touched — no scan over the rest of the in-flight set.
+        while let Some((complete_at, entry)) = self.in_flight.pop_due(now) {
+            let req = entry.request;
             let completion = CompletedRequest {
                 id: req.id,
                 kind: req.kind,
                 bytes: req.bytes,
                 arrival: req.arrival,
-                completed: f.complete_at,
+                completed: complete_at,
             };
             match req.kind {
                 RequestKind::Read => {
@@ -482,11 +449,11 @@ impl RomeController {
                 }
             }
             if self.trace.enabled() {
-                let idx = self.vba_index(f.entry.target);
+                let idx = self.vba_index(entry.target);
                 self.trace.record(TraceEvent {
                     id: req.id.0,
                     bank: idx as u32,
-                    row: f.entry.row,
+                    row: entry.row,
                     bytes: req.bytes,
                     dur: completion.latency(),
                     write: !req.kind.is_read(),
@@ -587,12 +554,6 @@ impl RomeController {
         } else {
             RowCommandKind::RdRow
         };
-        let _command = RowCommand {
-            kind,
-            target: entry.target,
-            row: entry.row,
-        };
-
         let idx = self.vba_index(entry.target);
         if self.trace.commands() {
             self.trace.record(TraceEvent {
@@ -620,13 +581,7 @@ impl RomeController {
             } else {
                 self.data_complete_offset
             };
-        let seq = self.inflight_seq;
-        self.inflight_seq += 1;
-        self.in_flight.push(Reverse(InFlight {
-            entry,
-            complete_at,
-            seq,
-        }));
+        self.in_flight.push(entry.request.kind, complete_at, entry);
 
         match kind {
             RowCommandKind::RdRow => self.stats.rd_rows_issued += 1,

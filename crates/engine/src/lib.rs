@@ -24,6 +24,9 @@
 //!   completions fed back for closed-loop load generation ([`source`]). The
 //!   scenario generators themselves (MoE routing skew, prefill/decode
 //!   interleave, multi-tenant mixes) live in the `rome-workload` crate.
+//! * the **[`CompletionQueue`]** — in-flight transfers retired in completion
+//!   order from one FIFO per transfer direction, shared by both controllers
+//!   ([`completion`]);
 //! * the **[`RunBudget`] layer** — cooperative deadlines (simulated time,
 //!   event count, wall clock) plus deterministic fault-injection hooks,
 //!   threaded through every run loop; a bounded run returns its partial
@@ -48,6 +51,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod budget;
+pub mod completion;
 pub mod controller;
 pub mod events;
 pub mod request;
@@ -66,6 +70,7 @@ pub mod prelude {
         AbortReason, BudgetMeter, DrainSignal, EngineFault, FaultAction, RunBudget, RunSink,
         TraceSink,
     };
+    pub use crate::completion::CompletionQueue;
     pub use crate::controller::{MemoryController, StatsSnapshot};
     pub use crate::events::EventHorizon;
     pub use crate::request::{CompletedRequest, MemoryRequest, RequestId, RequestKind};
@@ -81,6 +86,7 @@ pub mod prelude {
 pub use budget::{
     AbortReason, BudgetMeter, DrainSignal, EngineFault, FaultAction, RunBudget, RunSink, TraceSink,
 };
+pub use completion::CompletionQueue;
 pub use controller::{MemoryController, StatsSnapshot};
 pub use events::EventHorizon;
 pub use request::{CompletedRequest, MemoryRequest, RequestId, RequestKind};

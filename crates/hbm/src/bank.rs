@@ -81,14 +81,6 @@ pub struct Bank {
     refresh_done_at: Cycle,
     /// Number of activations this bank has seen (for energy accounting).
     activations: u64,
-    /// The bank's event calendar: the pending transition timestamps, sorted
-    /// ascending, rebuilt at each mutation point (`activate`,
-    /// `column_access`, `precharge`, `refresh`). Queries walk past expired
-    /// entries and return the first future one, so
-    /// [`Bank::next_event_at`] does no timing arithmetic and no
-    /// filter-and-minimize pass — mutations are far rarer than queries in an
-    /// event-driven run.
-    transitions: [Cycle; 4],
 }
 
 impl Default for Bank {
@@ -101,7 +93,6 @@ impl Default for Bank {
             precharge_done_at: 0,
             refresh_done_at: 0,
             activations: 0,
-            transitions: [0; 4],
         }
     }
 }
@@ -143,14 +134,12 @@ impl Bank {
         self.open_row = row;
         self.act_ready_at = now + Cycle::from(timing.t_rcd_rd.min(timing.t_rcd_wr));
         self.activations += 1;
-        self.rebuild_transitions();
     }
 
     /// Record a `PRE` issued at cycle `now` under `timing`.
     pub fn precharge(&mut self, now: Cycle, timing: &TimingParams) {
         self.open_row = NO_ROW;
         self.precharge_done_at = now + Cycle::from(timing.t_rp);
-        self.rebuild_transitions();
     }
 
     /// Record a column command issued at cycle `now`; `data_end` is when its
@@ -158,7 +147,6 @@ impl Bank {
     pub fn column_access(&mut self, is_write: bool, data_end: Cycle) {
         self.column_busy_until = self.column_busy_until.max(data_end);
         self.last_column_was_write = is_write;
-        self.rebuild_transitions();
     }
 
     /// Record a refresh issued at `now` lasting `duration` nanoseconds.
@@ -166,24 +154,6 @@ impl Bank {
     pub fn refresh(&mut self, now: Cycle, duration: Cycle) {
         self.open_row = NO_ROW;
         self.refresh_done_at = now + duration;
-        self.rebuild_transitions();
-    }
-
-    /// Rebuild the sorted transition calendar from the timestamp fields.
-    /// Called at every mutation point so queries never recompute it.
-    fn rebuild_transitions(&mut self) {
-        let mut t = [
-            self.refresh_done_at,
-            if self.open_row != NO_ROW {
-                self.act_ready_at
-            } else {
-                0
-            },
-            self.column_busy_until,
-            self.precharge_done_at,
-        ];
-        t.sort_unstable();
-        self.transitions = t;
     }
 
     /// The next cycle strictly after `now` at which the bank's observable
@@ -192,10 +162,25 @@ impl Bank {
     /// the bank is in a stable state (Idle or Active) and only a new command
     /// can change it.
     ///
-    /// O(1): walks the cached sorted calendar maintained by the mutation
-    /// points and returns the first entry past `now`.
+    /// Computed on demand from the four timestamps: the controllers take
+    /// their wakeups from the constraint engine, not from this query, so
+    /// keeping a sorted copy up to date on every command would cost more
+    /// than it saves.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        self.transitions.iter().find(|&&t| t > now).copied()
+        let activating = if self.open_row != NO_ROW {
+            self.act_ready_at
+        } else {
+            0
+        };
+        [
+            self.refresh_done_at,
+            activating,
+            self.column_busy_until,
+            self.precharge_done_at,
+        ]
+        .into_iter()
+        .filter(|&t| t > now)
+        .min()
     }
 
     /// The observable FSM state at cycle `now`.
@@ -310,39 +295,6 @@ mod tests {
         // Refreshing -> Idle when the refresh completes.
         b.refresh(300, 280);
         assert_eq!(b.next_event_at(300), Some(580));
-    }
-
-    #[test]
-    fn cached_calendar_matches_a_from_scratch_recompute() {
-        // Oracle: the calendar must always equal the filter-and-minimize
-        // pass it replaced, across a scripted mutation sequence.
-        let t = timing();
-        let mut b = Bank::new();
-        let oracle = |b: &Bank, now: Cycle| {
-            [
-                b.refresh_done_at(),
-                if b.is_active() { b.act_ready_at } else { 0 },
-                b.column_busy_until,
-                b.precharge_done_at,
-            ]
-            .into_iter()
-            .filter(|&x| x > now)
-            .min()
-        };
-        let check = |b: &Bank| {
-            for now in [0u64, 50, 100, 116, 130, 200, 216, 500, 1000] {
-                assert_eq!(b.next_event_at(now), oracle(b, now), "at {now}");
-            }
-        };
-        check(&b);
-        b.activate(1, 100, &t);
-        check(&b);
-        b.column_access(false, 140);
-        check(&b);
-        b.precharge(150, &t);
-        check(&b);
-        b.refresh(200, 280);
-        check(&b);
     }
 
     #[test]

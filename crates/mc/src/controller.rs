@@ -7,13 +7,10 @@
 //! [`rome_hbm::HbmChannel`] model, so illegal schedules cannot silently
 //! inflate bandwidth.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use serde::{Deserialize, Serialize};
 
 use rome_engine::trace::{FlightRecorder, TraceBuffer, TraceConfig, TraceEvent, TraceEventKind};
-use rome_engine::EventHorizon;
+use rome_engine::{CompletionQueue, EventHorizon};
 use rome_hbm::address::BankAddress;
 use rome_hbm::channel::HbmChannel;
 use rome_hbm::command::{CommandKind, CommandTarget, DramCommand};
@@ -124,33 +121,6 @@ impl ControllerConfig {
     }
 }
 
-/// Bookkeeping for a request whose data transfer is in flight.
-///
-/// Ordered by `(data_complete_at, seq)` so the in-flight set can live in a
-/// min-heap (wrapped in [`Reverse`]): completions pop in completion order,
-/// the next completion time is a peek, and ties break on issue order, which
-/// keeps the emission sequence deterministic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct InFlight {
-    entry: QueueEntry,
-    data_complete_at: Cycle,
-    /// Monotone issue sequence number (tie-breaker for equal completion
-    /// times).
-    seq: u64,
-}
-
-impl Ord for InFlight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.data_complete_at, self.seq).cmp(&(other.data_complete_at, other.seq))
-    }
-}
-
-impl PartialOrd for InFlight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// A conventional single-channel memory controller bound to a cycle-accurate
 /// HBM channel model.
 #[derive(Debug, Clone)]
@@ -159,12 +129,12 @@ pub struct ChannelController {
     channel: HbmChannel,
     read_queue: RequestQueue,
     write_queue: RequestQueue,
-    /// In-flight data transfers, ordered by completion time (min-heap):
-    /// completions are popped, never scanned, and the next completion time
-    /// is an O(1) peek for [`ChannelController::next_event_at`].
-    in_flight: BinaryHeap<Reverse<InFlight>>,
-    /// Issue sequence counter feeding [`InFlight::seq`].
-    inflight_seq: u64,
+    /// In-flight data transfers in one FIFO per direction: a read completes
+    /// `tCL + burst` after its RD and a write `tCWL + burst` after its WR,
+    /// so each lane is already in completion order. Completions pop from the
+    /// lane heads, and the next completion time is an O(1) look at them for
+    /// [`ChannelController::next_event_at`].
+    in_flight: CompletionQueue<QueueEntry>,
     refresh: Vec<RefreshScheduler>,
     /// Cached minimum of the refresh schedulers' `next_due` cycles, updated
     /// only when a refresh is acknowledged (the sole mutation that moves a
@@ -255,8 +225,7 @@ impl ChannelController {
         ChannelController {
             read_queue: RequestQueue::new(config.read_queue_capacity, indexer),
             write_queue: RequestQueue::new(config.write_queue_capacity, indexer),
-            in_flight: BinaryHeap::new(),
-            inflight_seq: 0,
+            in_flight: CompletionQueue::new(),
             refresh,
             refresh_due_min,
             open_rows: vec![None; banks],
@@ -503,10 +472,11 @@ impl ChannelController {
     /// cycle where the scheduler still issues nothing) are harmless.
     ///
     /// The query is O(1) on the hot path: the scheduler's part is the
-    /// precomputed `event_hint`, the in-flight part is a heap peek, the
-    /// refresh part is the cached minimum refresh due time (with an
-    /// O(ranks) fallback only while a due refresh is postponed), and the
-    /// starvation part looks at each queue's head.
+    /// precomputed `event_hint`, the in-flight part compares the heads of
+    /// the read and write completion lanes, the refresh part is the cached
+    /// minimum refresh due time (with an O(ranks) fallback only while a due
+    /// refresh is postponed), and the starvation part looks at each queue's
+    /// head.
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon = EventHorizon::new(now);
 
@@ -515,9 +485,7 @@ impl ChannelController {
         }
 
         // Only the earliest in-flight completion can be the next event.
-        if let Some(Reverse(inflight)) = self.in_flight.peek() {
-            horizon.consider(inflight.data_complete_at);
-        }
+        horizon.consider_opt(self.in_flight.next_at());
 
         // Refreshes not yet due wake the scheduler when they become due;
         // pending ones already recorded their issuability into the hint.
@@ -592,21 +560,16 @@ impl ChannelController {
     }
 
     fn collect_completions_into(&mut self, now: Cycle, done: &mut Vec<CompletedRequest>) {
-        // The heap is ordered by completion time, so only due transfers are
-        // ever touched — no scan over the rest of the in-flight set.
-        while self
-            .in_flight
-            .peek()
-            .is_some_and(|Reverse(f)| f.data_complete_at <= now)
-        {
-            let Reverse(inflight) = self.in_flight.pop().expect("peeked entry present");
-            let req = inflight.entry.request;
+        // The lanes are in completion order, so only due transfers are ever
+        // touched — no scan over the rest of the in-flight set.
+        while let Some((data_complete_at, entry)) = self.in_flight.pop_due(now) {
+            let req = entry.request;
             let completed = CompletedRequest {
                 id: req.id,
                 kind: req.kind,
                 bytes: req.bytes,
                 arrival: req.arrival,
-                completed: inflight.data_complete_at,
+                completed: data_complete_at,
             };
             match req.kind {
                 RequestKind::Read => {
@@ -622,11 +585,11 @@ impl ChannelController {
                 }
             }
             if self.trace.enabled() {
-                let idx = self.bank_index(inflight.entry.dram.bank);
+                let idx = self.bank_index(entry.dram.bank);
                 self.trace.record(TraceEvent {
                     id: req.id.0,
                     bank: idx as u32,
-                    row: inflight.entry.dram.row,
+                    row: entry.dram.row,
                     bytes: req.bytes,
                     dur: completed.latency(),
                     write: !req.kind.is_read(),
@@ -1082,13 +1045,11 @@ impl ChannelController {
             self.clear_open_row(idx);
         }
         self.stats.row_hits += 1;
-        let seq = self.inflight_seq;
-        self.inflight_seq += 1;
-        self.in_flight.push(Reverse(InFlight {
+        self.in_flight.push(
+            entry.request.kind,
+            result.data_complete_at.unwrap_or(now),
             entry,
-            data_complete_at: result.data_complete_at.unwrap_or(now),
-            seq,
-        }));
+        );
         true
     }
 
@@ -1120,7 +1081,13 @@ impl ChannelController {
             } else {
                 &mut *read_queue
             };
-            if config.soa {
+            if config.soa && queue.row_scan_idle(now) {
+                // Every row-relevant entry is parked past `now` (the
+                // queue's row-scan floor), so the pre-pass below would
+                // find no candidate: the scan would issue nothing, store
+                // no bound and leave the wakeup hint as it is.
+                (None, Cycle::MAX)
+            } else if config.soa {
                 // Data-oriented scan: same predicates and order as the
                 // oracle scan below, over the packed bank array and the
                 // row-open bitmask. The refresh-reserved comparison moves
@@ -1317,6 +1284,13 @@ impl ChannelController {
                 } else {
                     pre.map(|bank| RowAction::Pre { bank })
                 };
+                if action.is_none() {
+                    // Every candidate now holds a bound past `now` (unless
+                    // its bank is reserved for a refresh): later scans can
+                    // skip until the earliest bound arrives or the queue
+                    // resets the floor.
+                    queue.note_row_scan_idle(now);
+                }
                 (action, Cycle::MAX)
             } else {
                 let use_cache = config.ready_cache;
@@ -1795,6 +1769,20 @@ mod tests {
                 keep.as_slice(),
                 "keep-open flags diverged"
             );
+            // A known row-scan floor lower-bounds the park bound of every
+            // row-relevant entry, so skipping a scan below it is exact.
+            let floor = queue.row_scan_floor();
+            if floor != 0 {
+                for (i, (&hit, &keep)) in row_match.iter().zip(&keep).enumerate() {
+                    if hit == 0 && keep == 0 {
+                        let at = queue.act_ready_hint(i);
+                        assert!(
+                            floor <= at,
+                            "row-scan floor {floor} exceeds entry {i}'s bound {at}"
+                        );
+                    }
+                }
+            }
         }
         // Per-bank column bounds ⇔ lower bounds on the constraint engine's
         // answer. Probing at cycle 0 leaves only the constraints themselves
@@ -1840,15 +1828,24 @@ mod tests {
         /// Random enqueue/issue/refresh sequences: after every tick, every
         /// bitmask the SoA scans consult must match a from-scratch per-bank
         /// recount, every per-bank column bound must lower-bound the
-        /// constraint engine, and the SoA and oracle controllers must stay
-        /// in lockstep.
+        /// constraint engine, a known row-scan floor must lower-bound every
+        /// row-relevant entry's park bound, and the SoA and oracle
+        /// controllers must stay in lockstep.
         #[test]
         fn bitmasks_match_a_from_scratch_per_bank_oracle(
             ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..12), 1..32),
             refresh_mode in prop::sample::select(vec![RefreshMode::PerBank, RefreshMode::AllBank]),
+            page_policy in prop::sample::select(vec![
+                PagePolicy::Open,
+                PagePolicy::Closed,
+                PagePolicy::Adaptive,
+            ]),
         ) {
             let mut cfg = ControllerConfig::hbm4_with_queue_depth(32);
             cfg.refresh_mode = refresh_mode;
+            // Auto-precharge closes banks that still have queued entries,
+            // which exercises the queue's `note_pre` bookkeeping.
+            cfg.page_policy = page_policy;
             let mut soa = ChannelController::new(cfg.clone());
             let mut cfg_plain = cfg;
             cfg_plain.soa = false;

@@ -12,7 +12,7 @@
 //! The queue is stored struct-of-arrays. The FR-FCFS scan only needs a few
 //! fields per entry — the cached ready bounds, the flat bank index, and the
 //! row — so those live in parallel position-indexed POD arrays (`ready_at`,
-//! `act_ready_at`, `bank`, `row`, `chan`) that the scan walks linearly with
+//! `act_ready_at`, `bank`, `row`) that the scan walks linearly with
 //! no pointer chasing and no 64-byte entry loads for skipped entries. The
 //! full [`QueueEntry`] payloads live in a stable *arena* (slab with a free
 //! list); positions hold only the arena slot number, so removing an entry
@@ -22,6 +22,9 @@
 //! "anything pending for this bank?" CAM queries with one word test in the
 //! common negative case. Every array is plain-old-data, so checkpointing or
 //! forking a queue is a few memcpys.
+//!
+//! Every entry of a controller's queue belongs to that controller's
+//! channel, so the CAM lookups compare bank and row only.
 
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +135,7 @@ pub struct RequestQueue {
     indexer: BankIndexer,
     capacity: usize,
     // --- Hot, position-indexed, age-ordered parallel arrays. Index i is
-    // the i-th oldest entry; all five shift together on removal. ---
+    // the i-th oldest entry; all of them shift together on removal. ---
     /// Cached lower bound on the earliest cycle the entry's column command
     /// can issue (0 = unknown). Because DRAM timing constraints only ever
     /// move *later* as commands are recorded, a bound computed once stays a
@@ -147,9 +150,6 @@ pub struct RequestQueue {
     bank: Vec<u16>,
     /// The entry's target row.
     row: Vec<u32>,
-    /// The entry's channel id (the row-hit CAM query compares it; see
-    /// [`RequestQueue::has_pending_row_hit`]).
-    chan: Vec<u16>,
     /// 1 iff the entry's bank currently has the entry's row open (an
     /// incrementally maintained copy of the scheduler's row-hit predicate;
     /// see [`RequestQueue::note_act`]). Lets the scans test "row hit" with
@@ -194,6 +194,20 @@ pub struct RequestQueue {
     occupancy_samples: u64,
     /// Maximum occupancy ever observed.
     peak_occupancy: usize,
+    /// Lower bound on `act_ready_at` over the *row-relevant* entries (those
+    /// with `row_match == 0 && keep_open == 0`, the only ones the SoA row
+    /// scan considers); 0 = unknown. While `now` lies below it no entry can
+    /// be a row-scan candidate, so the scan would issue nothing and store
+    /// nothing: [`RequestQueue::row_scan_idle`] lets the controller skip it.
+    /// Set by [`RequestQueue::note_row_scan_idle`] after a row scan that
+    /// found no action, and reset to 0 wherever an entry can become
+    /// row-relevant or a relevant entry's bound can drop: `push` of a
+    /// relevant entry, `note_pre` on a bank with entries, `remove` of a
+    /// bank's last open-row hit (which clears `keep_open`), and
+    /// `set_act_ready_hint`. `note_act` only removes relevance (an ACT
+    /// needs a closed bank), and the scans only raise the bounds they store
+    /// (each from at most `now` to past it), so neither needs a reset.
+    row_scan_floor: Cycle,
 }
 
 /// Split-borrow view over one queue's hot arrays, handed to the SoA
@@ -231,7 +245,6 @@ pub struct ScanView<'a> {
 pub struct EntryView<'a> {
     bank: &'a [u16],
     row: &'a [u32],
-    chan: &'a [u16],
     slot: &'a [u32],
     arena: &'a [ArenaSlot],
     bank_count: &'a [u16],
@@ -258,10 +271,10 @@ impl EntryView<'_> {
         }
         let flat = flat as u16;
         let n = self.slot.len();
-        let (bank, chan, row) = (&self.bank[..n], &self.chan[..n], &self.row[..n]);
+        let (bank, row) = (&self.bank[..n], &self.row[..n]);
         let mut hit = false;
         for i in 0..n {
-            hit |= (bank[i] == flat) & (chan[i] == addr.channel) & (row[i] == addr.row);
+            hit |= (bank[i] == flat) & (row[i] == addr.row);
         }
         hit
     }
@@ -288,7 +301,6 @@ impl RequestQueue {
             act_ready_at: Vec::with_capacity(capacity),
             bank: Vec::with_capacity(capacity),
             row: Vec::with_capacity(capacity),
-            chan: Vec::with_capacity(capacity),
             slot: Vec::with_capacity(capacity),
             arena: Vec::with_capacity(capacity),
             free: Vec::new(),
@@ -302,6 +314,7 @@ impl RequestQueue {
             occupancy_sum: 0,
             occupancy_samples: 0,
             peak_occupancy: 0,
+            row_scan_floor: 0,
         }
     }
 
@@ -351,7 +364,6 @@ impl RequestQueue {
         self.act_ready_at.push(0);
         self.bank.push(flat as u16);
         self.row.push(entry.dram.row);
-        self.chan.push(entry.dram.channel);
         let open = self.open_mask[flat >> 6] >> (flat & 63) & 1 == 1;
         let hit = open && self.open_row[flat] == entry.dram.row;
         if hit && self.hits_open[flat] == 0 {
@@ -366,8 +378,12 @@ impl RequestQueue {
         }
         self.row_match.push(hit as u8);
         self.hits_open[flat] += hit as u16;
-        self.keep_open
-            .push((open && self.hits_open[flat] > 0) as u8);
+        let keep_open = open && self.hits_open[flat] > 0;
+        self.keep_open.push(keep_open as u8);
+        if !hit && !keep_open {
+            // A new row-relevant entry with an unknown (0) bound.
+            self.row_scan_floor = 0;
+        }
         self.slot.push(slot);
         self.bank_count[flat] += 1;
         self.pending_mask[flat >> 6] |= 1 << (flat & 63);
@@ -383,7 +399,14 @@ impl RequestQueue {
     /// One branchless pass over the packed arrays — the same cost class as
     /// the position shifts `remove` already performs, paid only on the rare
     /// ACT, not per scan.
+    ///
+    /// The bank must be closed: every entry on it is then row-relevant, and
+    /// opening it can only clear that, so the row-scan floor stays valid.
     pub fn note_act(&mut self, flat: usize, row: u32) {
+        debug_assert!(
+            self.open_mask[flat >> 6] >> (flat & 63) & 1 == 0,
+            "ACT recorded on an open bank"
+        );
         self.open_mask[flat >> 6] |= 1 << (flat & 63);
         self.open_row[flat] = row;
         if self.bank_count[flat] == 0 {
@@ -414,6 +437,9 @@ impl RequestQueue {
     pub fn note_pre(&mut self, flat: usize) {
         self.open_mask[flat >> 6] &= !(1 << (flat & 63));
         if self.bank_count[flat] != 0 {
+            // The bank's entries lose `row_match`/`keep_open` and become
+            // row-relevant.
+            self.row_scan_floor = 0;
             let n = self.slot.len();
             let (bank, row_match, keep_open) = (
                 &self.bank[..n],
@@ -465,6 +491,7 @@ impl RequestQueue {
     pub fn set_act_ready_hint(&mut self, index: usize, at: Cycle) {
         if let Some(r) = self.act_ready_at.get_mut(index) {
             *r = at;
+            self.row_scan_floor = 0;
         }
     }
 
@@ -548,13 +575,13 @@ impl RequestQueue {
         self.act_ready_at.remove(index);
         let flat = self.bank.remove(index) as usize;
         self.row.remove(index);
-        self.chan.remove(index);
         let hit = self.row_match.remove(index);
         self.keep_open.remove(index);
         self.hits_open[flat] -= hit as u16;
         if hit == 1 && self.hits_open[flat] == 0 {
             // Last pending hit gone: the bank's remaining entries may
-            // precharge again.
+            // precharge again, so they become row-relevant.
+            self.row_scan_floor = 0;
             let n = self.slot.len() - 1;
             let (bank, keep_open) = (&self.bank[..n], &mut self.keep_open[..n]);
             let flat16 = flat as u16;
@@ -581,9 +608,7 @@ impl RequestQueue {
             return false;
         }
         let flat = flat as u16;
-        (0..self.slot.len()).any(|i| {
-            self.bank[i] == flat && self.chan[i] == addr.channel && self.row[i] == addr.row
-        })
+        (0..self.slot.len()).any(|i| self.bank[i] == flat && self.row[i] == addr.row)
     }
 
     /// The earliest cached column-ready bound later than `now` over all
@@ -619,6 +644,43 @@ impl RequestQueue {
         min
     }
 
+    /// Whether the SoA row scan at `now` has no candidate: every
+    /// row-relevant entry is parked past `now` (see the `row_scan_floor`
+    /// field). Such a scan would issue nothing and store nothing, so the
+    /// caller may skip it; its wakeup hint, read back from the stored
+    /// bounds, is unchanged.
+    #[inline]
+    pub(crate) fn row_scan_idle(&self, now: Cycle) -> bool {
+        now < self.row_scan_floor
+    }
+
+    /// Record that an SoA row scan at `now` found no action: the floor
+    /// becomes the least `act_ready_at` over the row-relevant entries
+    /// (`Cycle::MAX` if there are none), or 0 if some relevant entry is
+    /// still due at `now` (a refresh-reserved bank's).
+    pub(crate) fn note_row_scan_idle(&mut self, now: Cycle) {
+        let n = self.slot.len();
+        let (at, row_match, keep_open) = (
+            &self.act_ready_at[..n],
+            &self.row_match[..n],
+            &self.keep_open[..n],
+        );
+        let mut min = Cycle::MAX;
+        for i in 0..n {
+            let relevant = (row_match[i] == 0) & (keep_open[i] == 0);
+            min = min.min(if relevant { at[i] } else { Cycle::MAX });
+        }
+        self.row_scan_floor = if min > now { min } else { 0 };
+    }
+
+    /// The row-scan floor (0 = unknown; see the `row_scan_floor` field).
+    /// Exposed so oracle tests can check that it lower-bounds every
+    /// row-relevant entry's `act_ready_at`.
+    #[cfg(test)]
+    pub(crate) fn row_scan_floor(&self) -> Cycle {
+        self.row_scan_floor
+    }
+
     /// Split-borrow view over the hot parallel arrays for one scheduler
     /// scan. Handing the scan loop plain slices (grabbed once) instead of
     /// accessor calls on `&mut self` lets the compiler keep the array base
@@ -638,7 +700,6 @@ impl RequestQueue {
             entries: EntryView {
                 bank: &self.bank,
                 row: &self.row,
-                chan: &self.chan,
                 slot: &self.slot,
                 arena: &self.arena,
                 bank_count: &self.bank_count,
@@ -838,6 +899,73 @@ mod tests {
         while !q.is_empty() {
             q.remove(q.len() - 1);
             check(&q);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random sequences of every queue mutation, interleaved with a
+        /// model of the SoA row scan (park each due row-relevant entry past
+        /// `now`, sometimes leaving one due as a refresh-reserved bank
+        /// does, then record the idle scan): after every step a known
+        /// row-scan floor must lower-bound every row-relevant entry's
+        /// `act_ready_at`, and a skipped scan must have had no candidate.
+        #[test]
+        fn row_scan_floor_lower_bounds_every_row_relevant_entry(
+            ops in proptest::prop::collection::vec((0u64..6, 0u64..64, 0u64..8), 1..200),
+        ) {
+            let mut q = queue(8);
+            let mut now: Cycle = 1;
+            for (step, &(op, a, b)) in ops.iter().enumerate() {
+                let bank = (a % 4) as usize;
+                let open = q.open_mask[0] >> bank & 1 == 1;
+                match op {
+                    0 => {
+                        q.push(entry(step as u64, 0, (b % 3) as u32, bank as u8, now));
+                    }
+                    1 if !q.is_empty() => {
+                        q.remove(a as usize % q.len());
+                    }
+                    2 if !open => q.note_act(bank, (b % 3) as u32),
+                    3 if open => q.note_pre(bank),
+                    4 if !q.is_empty() => {
+                        let i = a as usize % q.len();
+                        q.set_act_ready_hint(i, now.saturating_sub(b));
+                    }
+                    5 => {
+                        let relevant = |q: &RequestQueue, i: usize| {
+                            q.row_match[i] == 0 && q.keep_open[i] == 0
+                        };
+                        let due: Vec<usize> = (0..q.len())
+                            .filter(|&i| relevant(&q, i) && q.act_ready_at[i] <= now)
+                            .collect();
+                        if q.row_scan_idle(now) {
+                            proptest::prop_assert!(due.is_empty(), "skipped a scan with candidates");
+                        } else {
+                            for (k, &i) in due.iter().enumerate() {
+                                if b != 7 || k != 0 {
+                                    q.act_ready_at[i] = now + 1 + (a + k as u64) % 16;
+                                }
+                            }
+                            q.note_row_scan_idle(now);
+                        }
+                    }
+                    _ => {}
+                }
+                now += b % 3;
+                let floor = q.row_scan_floor();
+                if floor != 0 {
+                    for i in 0..q.len() {
+                        if q.row_match[i] == 0 && q.keep_open[i] == 0 {
+                            proptest::prop_assert!(
+                                floor <= q.act_ready_at[i],
+                                "floor {} above entry {}'s bound {}", floor, i, q.act_ready_at[i]
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
