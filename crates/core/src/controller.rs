@@ -120,11 +120,6 @@ pub struct RomeController {
     /// `try_issue_data`).
     hot_vba: Vec<u32>,
     hot_write: Vec<bool>,
-    /// Whether `try_issue_data` scans the packed hot arrays (data-oriented)
-    /// or the entry queue directly (oracle). Both paths evaluate the same
-    /// predicate in the same order, so decisions are bit-identical; see
-    /// [`RomeController::set_soa`].
-    soa: bool,
     /// In-flight row transfers in one FIFO per direction: an `RD_row`
     /// completes `data_complete_offset` after issue and a `WR_row` its own
     /// constant offset, so each lane is already in completion order.
@@ -204,7 +199,6 @@ impl RomeController {
             queue: VecDeque::with_capacity(config.queue_capacity),
             hot_vba: Vec::with_capacity(config.queue_capacity),
             hot_write: Vec::with_capacity(config.queue_capacity),
-            soa: true,
             in_flight: CompletionQueue::new(),
             refresh,
             refresh_due_min,
@@ -233,15 +227,6 @@ impl RomeController {
     /// The command generator used for expansion accounting.
     pub fn generator(&self) -> &CommandGenerator {
         &self.generator
-    }
-
-    /// Enable or disable the data-oriented issue scan (enabled by default).
-    /// The packed hot arrays are always maintained; this only selects which
-    /// representation the scan reads, and both make identical decisions —
-    /// the toggle exists so equivalence tests and benchmarks can compare the
-    /// two paths.
-    pub fn set_soa(&mut self, enabled: bool) {
-        self.soa = enabled;
     }
 
     /// Whether the controller has no pending or in-flight work.
@@ -506,41 +491,31 @@ impl RomeController {
         // Oldest-first over requests whose VBA is free and whose interface
         // spacing has elapsed — the entirety of the RoMe scheduling policy.
         // Blocked requests feed the event hint with the cycle both their VBA
-        // and the interface become ready.
+        // and the interface become ready. The VBA index and write flag come
+        // from the packed hot arrays (the stack ID is recovered from the VBA
+        // index, which is stack-ID-major), so skipped entries cost two array
+        // reads instead of a payload load.
+        #[cfg(test)]
+        let expected = self.reference_pick(now);
         let mut chosen: Option<usize> = None;
         let mut hint = Cycle::MAX;
-        if self.soa {
-            // Data-oriented scan: the VBA index and write flag come from the
-            // packed hot arrays (the stack ID is recovered from the VBA
-            // index, which is stack-ID-major), so skipped entries cost two
-            // array reads instead of a payload load.
-            for i in 0..self.queue.len() {
-                let idx = self.hot_vba[i] as usize;
-                let is_write = self.hot_write[i];
-                let sid = (idx / self.vbas_per_rank as usize) as u8;
-                let ready =
-                    self.vba_busy_until[idx].max(self.earliest_interface_issue(is_write, sid));
-                if ready > now {
-                    hint = hint.min(ready);
-                    continue;
-                }
-                chosen = Some(i);
-                break;
+        for i in 0..self.queue.len() {
+            let idx = self.hot_vba[i] as usize;
+            let is_write = self.hot_write[i];
+            let sid = (idx / self.vbas_per_rank as usize) as u8;
+            let ready = self.vba_busy_until[idx].max(self.earliest_interface_issue(is_write, sid));
+            if ready > now {
+                hint = hint.min(ready);
+                continue;
             }
-        } else {
-            for (i, e) in self.queue.iter().enumerate() {
-                let is_write = !e.request.kind.is_read();
-                let idx = self.vba_index(e.target);
-                let ready = self.vba_busy_until[idx]
-                    .max(self.earliest_interface_issue(is_write, e.target.stack_id));
-                if ready > now {
-                    hint = hint.min(ready);
-                    continue;
-                }
-                chosen = Some(i);
-                break;
-            }
+            chosen = Some(i);
+            break;
         }
+        #[cfg(test)]
+        assert_eq!(
+            chosen, expected,
+            "data pick diverged from the reference at {now}"
+        );
         if hint != Cycle::MAX {
             self.hint_event(hint);
         }
@@ -593,6 +568,20 @@ impl RomeController {
             .derived
             .absorb(&self.expansion[expansion_index(kind)]);
         true
+    }
+
+    /// From-scratch reference for the data pick: the oldest queued request
+    /// whose VBA is free and whose interface spacing has elapsed at `now`,
+    /// read from the queue entries themselves rather than the packed hot
+    /// arrays. The crate's test build checks every `try_issue_data`
+    /// decision against it.
+    #[cfg(test)]
+    fn reference_pick(&self, now: Cycle) -> Option<usize> {
+        self.queue.iter().position(|e| {
+            let is_write = !e.request.kind.is_read();
+            let busy = self.vba_busy_until[self.vba_index(e.target)];
+            busy.max(self.earliest_interface_issue(is_write, e.target.stack_id)) <= now
+        })
     }
 }
 

@@ -169,22 +169,6 @@ impl RomeMemorySystem {
         self.inner.next_event_at(now)
     }
 
-    /// Enable or disable the incremental event calendar (enabled by
-    /// default); results are bit-identical either way, only cost differs.
-    /// See [`rome_engine::MultiChannelSystem::set_calendar`].
-    pub fn set_calendar(&mut self, enabled: bool) {
-        self.inner.set_calendar(enabled);
-    }
-
-    /// Enable or disable the data-oriented issue scan on every channel
-    /// controller (enabled by default); results are bit-identical either
-    /// way, only cost differs. See [`RomeController::set_soa`].
-    pub fn set_soa(&mut self, enabled: bool) {
-        for c in self.inner.controllers_mut() {
-            c.set_soa(enabled);
-        }
-    }
-
     /// Run until idle or `max_ns`, returning the completions (sorted by
     /// completion time, then id) and the stop time. Channels run their
     /// event-driven loops in parallel; see

@@ -19,9 +19,9 @@
 //! produces bit-identical [`SimulationReport`]s — the regression suite in
 //! `tests/event_driven_equivalence.rs` pins this.
 //!
-//! The original cycle-by-cycle loop is kept as [`run_with_limit_stepped`];
-//! it is the equivalence baseline and the reference point for the wall-clock
-//! speedup tracked by the `event_driven_speedup` bench.
+//! The original cycle-by-cycle loop is kept as [`run_with_limit_stepped`],
+//! the equivalence baseline; perfbench's `engine.events` and
+//! `engine.idle_frac` count the work the event-driven driver does instead.
 //!
 //! # Bounded runs
 //!

@@ -12,9 +12,9 @@
 //!
 //! # The event calendar
 //!
-//! With the calendar enabled (the default), the system maintains the next
-//! wakeup cycle of every channel incrementally instead of recomputing it
-//! from scratch on every event step:
+//! The system maintains the next wakeup cycle of every channel
+//! incrementally instead of recomputing it from scratch on every event
+//! step:
 //!
 //! * each channel's wakeup is cached in a per-channel slot, refreshed only
 //!   when the channel is actually ticked (a channel that issued wakes at
@@ -32,14 +32,11 @@
 //!   counts, so draining admissible fragments and probing for
 //!   admission-at-`now + 1` both cost O(channels), not O(backlog).
 //!
-//! With the calendar disabled ([`MultiChannelSystem::set_calendar`]), the
-//! system keeps the pre-calendar behaviour — one global arrival-ordered
-//! backlog scanned in full on every drain, every channel ticked on every
-//! step, and `next_event_at` re-polling every controller. That path is the
-//! equivalence oracle (the regression suite pins bit-identical results
-//! between a cycle-stepped calendar-off run and an event-driven calendar-on
-//! run) and the baseline the `event_driven_speedup` bench reports the
-//! calendar's speedup against.
+//! The calendar is the only system loop. Its test-only references live in
+//! this module's tests: a from-scratch recompute of `next_event_at` checked
+//! after every step, and a stepped system that ticks every controller on
+//! every cycle and admits from plain per-channel FIFOs, whose completions
+//! the calendar must reproduce exactly.
 //!
 //! # Drivers
 //!
@@ -97,118 +94,21 @@ struct HostTracker {
     last_completion: Cycle,
 }
 
-/// Where pending fragments wait for a queue slot. The representation is
-/// chosen by the calendar flag; both admit exactly the same fragments at
-/// exactly the same cycles (admission to different channels is independent,
-/// so only *cost* differs).
-#[derive(Debug, Clone)]
-enum BacklogStore<C: MemoryController> {
-    /// Pre-calendar representation: one global arrival-ordered queue,
-    /// scanned in full on every drain, plus per-channel pending-kind counts
-    /// for the admission probe. Kept as the calendar-off oracle and bench
-    /// baseline.
-    Global {
-        entries: VecDeque<(u16, C::Entry)>,
-        /// Pending fragments per channel, indexed `[reads, writes]`.
-        pending: Vec<[usize; 2]>,
-    },
-    /// Calendar representation: per-channel kind-counted queues, so draining
-    /// and probing cost O(channels).
-    PerChannel(Vec<ChannelBacklog<C>>),
-}
-
-impl<C: MemoryController> BacklogStore<C> {
-    fn kind_index(kind: RequestKind) -> usize {
-        match kind {
-            RequestKind::Read => 0,
-            RequestKind::Write => 1,
-        }
-    }
-
-    fn push(&mut self, channel: u16, entry: C::Entry) {
-        match self {
-            BacklogStore::Global { entries, pending } => {
-                let ch = channel as usize % pending.len();
-                pending[ch][Self::kind_index(C::entry_kind(&entry))] += 1;
-                entries.push_back((channel, entry));
-            }
-            BacklogStore::PerChannel(queues) => {
-                let ch = channel as usize % queues.len();
-                queues[ch].push(entry);
-            }
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            BacklogStore::Global { entries, .. } => entries.is_empty(),
-            BacklogStore::PerChannel(queues) => queues.iter().all(ChannelBacklog::is_empty),
-        }
-    }
-
-    /// Whether channel `ch` holds a pending fragment a free `kind` slot
-    /// could admit.
-    fn has_pending(&self, ch: usize, kind: RequestKind) -> bool {
-        match self {
-            BacklogStore::Global { pending, .. } => pending[ch][Self::kind_index(kind)] > 0,
-            BacklogStore::PerChannel(queues) => match kind {
-                RequestKind::Read => queues[ch].pending_reads > 0,
-                RequestKind::Write => queues[ch].pending_writes > 0,
-            },
-        }
-    }
-
-    /// Decompose into per-channel queues (the working form of
-    /// `run_until_idle` and the pivot of every representation change),
-    /// preserving arrival order within each channel.
-    fn into_channel_queues(self, channels: usize) -> Vec<ChannelBacklog<C>> {
-        match self {
-            BacklogStore::PerChannel(queues) => queues,
-            BacklogStore::Global { entries, .. } => {
-                let mut queues: Vec<ChannelBacklog<C>> =
-                    (0..channels).map(|_| ChannelBacklog::new()).collect();
-                for (channel, entry) in entries {
-                    queues[channel as usize % channels].push(entry);
-                }
-                queues
-            }
-        }
-    }
-
-    /// Rebuild the representation matching `calendar` from per-channel
-    /// queues (the single place the Global pending counts are derived).
-    fn from_channel_queues(queues: Vec<ChannelBacklog<C>>, calendar: bool) -> Self {
-        if calendar {
-            return BacklogStore::PerChannel(queues);
-        }
-        let mut entries = VecDeque::new();
-        let mut pending = vec![[0usize; 2]; queues.len()];
-        for (ch, queue) in queues.into_iter().enumerate() {
-            pending[ch] = [queue.pending_reads, queue.pending_writes];
-            for entry in queue.entries {
-                entries.push_back((ch as u16, entry));
-            }
-        }
-        BacklogStore::Global { entries, pending }
-    }
-}
-
 /// A multi-channel memory system generic over its per-channel controller.
 #[derive(Debug, Clone)]
 pub struct MultiChannelSystem<C: MemoryController> {
     controllers: Vec<C>,
-    backlog: BacklogStore<C>,
+    /// Fragments waiting for a queue slot, one arrival-ordered queue per
+    /// channel with per-kind counts, so draining and the admission probe
+    /// cost O(channels), not O(backlog).
+    backlog: Vec<ChannelBacklog<C>>,
     host_requests: HashMap<RequestId, HostTracker>,
     next_auto_id: u64,
     /// Reused per-tick completion buffer (avoids an allocation per channel
     /// per cycle).
     scratch: Vec<CompletedRequest>,
-    /// Whether the incremental event calendar is enabled (see the module
-    /// docs). Disabled only to serve as the equivalence oracle / bench
-    /// baseline.
-    calendar: bool,
-    /// Per-channel cached wakeup cycle (calendar mode): the next cycle at
-    /// which the channel must be ticked. `Cycle::MAX` marks a quiescent
+    /// Per-channel cached wakeup cycle: the next cycle at which the channel
+    /// must be ticked. `Cycle::MAX` marks a quiescent
     /// channel; `0` marks a dirty one that must be ticked on the next call.
     wakeups: Vec<Cycle>,
     /// Lazy min-heap over `(wakeup, channel)` pairs. May hold stale entries
@@ -219,18 +119,14 @@ pub struct MultiChannelSystem<C: MemoryController> {
 }
 
 impl<C: MemoryController> MultiChannelSystem<C> {
-    /// Build a system from its per-channel controllers. The event calendar
-    /// starts enabled.
+    /// Build a system from its per-channel controllers.
     pub fn new(controllers: Vec<C>) -> Self {
         let channels = controllers.len();
         let mut sys = MultiChannelSystem {
-            backlog: BacklogStore::PerChannel(
-                (0..channels).map(|_| ChannelBacklog::new()).collect(),
-            ),
+            backlog: (0..channels).map(|_| ChannelBacklog::new()).collect(),
             host_requests: HashMap::new(),
             next_auto_id: 1 << 48,
             scratch: Vec::new(),
-            calendar: true,
             wakeups: vec![0; channels],
             heap: BinaryHeap::new(),
             controllers,
@@ -239,35 +135,10 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         sys
     }
 
-    /// Enable or disable the incremental event calendar.
-    ///
-    /// Disabling reverts to the pre-calendar behaviour (full backlog scans,
-    /// every channel ticked every step, `next_event_at` polling every
-    /// controller); results are bit-identical either way, only cost differs.
-    /// Pending fragments are migrated between representations preserving
-    /// per-channel arrival order (cross-channel interleaving is not
-    /// observable: admission to different channels is independent).
-    pub fn set_calendar(&mut self, enabled: bool) {
-        if self.calendar == enabled {
-            return;
-        }
-        self.calendar = enabled;
-        let channels = self.controllers.len();
-        let queues = std::mem::replace(&mut self.backlog, BacklogStore::PerChannel(Vec::new()))
-            .into_channel_queues(channels);
-        self.backlog = BacklogStore::from_channel_queues(queues, enabled);
-        self.reset_calendar();
-    }
-
-    /// Whether the incremental event calendar is enabled.
-    pub fn calendar(&self) -> bool {
-        self.calendar
-    }
-
     /// Mark every channel dirty: each must be ticked (and its wakeup
-    /// recomputed) on the next `tick_into`. Used at construction, after a
-    /// calendar toggle, and after `run_until_idle` advanced the controllers
-    /// outside the calendar's bookkeeping.
+    /// recomputed) on the next `tick_into`. Used at construction and after
+    /// `run_until_idle` advanced the controllers outside the calendar's
+    /// bookkeeping.
     fn reset_calendar(&mut self) {
         self.heap.clear();
         for (ch, slot) in self.wakeups.iter_mut().enumerate() {
@@ -284,13 +155,6 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     /// The per-channel controllers (for aggregating domain-specific stats).
     pub fn controllers(&self) -> &[C] {
         &self.controllers
-    }
-
-    /// Mutable access to the per-channel controllers (for toggling
-    /// controller-internal oracles like the data-oriented scan). Callers
-    /// must not perturb scheduling state mid-run.
-    pub fn controllers_mut(&mut self) -> &mut [C] {
-        &mut self.controllers
     }
 
     /// The engine-level statistics of the whole system: per-channel
@@ -340,7 +204,8 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     /// Whether every queue, backlog entry, and in-flight transfer has
     /// drained.
     pub fn is_idle(&self) -> bool {
-        self.backlog.is_empty() && self.controllers.iter().all(|c| c.is_idle())
+        self.backlog.iter().all(ChannelBacklog::is_empty)
+            && self.controllers.iter().all(|c| c.is_idle())
     }
 
     /// Submit a host request: fragment it at `granularity` bytes and steer
@@ -371,7 +236,8 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         );
         for frag in fragments {
             let (channel, entry) = decode(frag);
-            self.backlog.push(channel, entry);
+            let ch = channel as usize % self.backlog.len();
+            self.backlog[ch].push(entry);
         }
         request.id
     }
@@ -386,48 +252,17 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         completions
     }
 
-    /// Drain every currently admissible backlogged fragment into its
-    /// channel's queues, marking channels that received work dirty so the
-    /// tick loop visits them.
     /// Drain every currently admissible backlogged fragment, marking each
     /// channel that received work dirty (`wakeups[ch] = 0`): new work
     /// invalidates the cached wakeup, so the channel must be ticked this
-    /// very cycle. (The mark is meaningful only in calendar mode but is
-    /// written unconditionally — the slots are simply unused otherwise.)
+    /// very cycle. Per-channel pending counts and queue space are consulted
+    /// first, so a channel with nothing to admit costs one comparison.
     fn drain_backlog(&mut self) {
-        let channels = self.controllers.len();
-        match &mut self.backlog {
-            BacklogStore::Global { entries, pending } => {
-                // Pre-calendar drain: one order-preserving retain pass over
-                // the whole backlog, O(backlog) per call.
-                let controllers = &mut self.controllers;
-                let wakeups = &mut self.wakeups;
-                entries.retain(|(channel, entry)| {
-                    let ch = *channel as usize % channels;
-                    let ctrl = &mut controllers[ch];
-                    let kind = C::entry_kind(entry);
-                    if ctrl.slots_free_for(kind) > 0 {
-                        let ok = ctrl.enqueue_entry(*entry);
-                        debug_assert!(ok, "enqueue must succeed when a slot is free");
-                        pending[ch][BacklogStore::<C>::kind_index(kind)] -= 1;
-                        wakeups[ch] = 0;
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            BacklogStore::PerChannel(queues) => {
-                // Calendar drain: consult per-channel pending counts and
-                // queue space first, so channels with nothing to admit cost
-                // one comparison each.
-                for (ch, queue) in queues.iter_mut().enumerate() {
-                    let ctrl = &mut self.controllers[ch];
-                    if queue.can_enqueue(ctrl) {
-                        queue.drain_into(ctrl);
-                        self.wakeups[ch] = 0;
-                    }
-                }
+        for (ch, queue) in self.backlog.iter_mut().enumerate() {
+            let ctrl = &mut self.controllers[ch];
+            if queue.can_enqueue(ctrl) {
+                queue.drain_into(ctrl);
+                self.wakeups[ch] = 0;
             }
         }
     }
@@ -436,14 +271,13 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     /// requests to `completions`. Returns `true` if any channel issued a
     /// command.
     ///
-    /// In calendar mode, channels whose cached wakeup lies beyond `now` are
-    /// skipped entirely: by the [`MemoryController::next_event_at`] lower-
-    /// bound contract nothing their scheduler consults has changed, so the
-    /// tick would provably have been a no-op. (Per-controller bookkeeping
+    /// Channels whose cached wakeup lies beyond `now` are skipped entirely:
+    /// by the [`MemoryController::next_event_at`] lower-bound contract
+    /// nothing their scheduler consults has changed, so the tick would
+    /// provably have been a no-op. (Per-controller bookkeeping
     /// statistics such as `total_cycles` count only the cycles the channel
     /// was actually ticked; the simulation results are unaffected.)
     pub fn tick_into(&mut self, now: Cycle, completions: &mut Vec<HostCompletion>) -> bool {
-        let calendar = self.calendar;
         self.drain_backlog();
 
         let before = completions.len();
@@ -457,7 +291,7 @@ impl<C: MemoryController> MultiChannelSystem<C> {
             ..
         } = self;
         for (ch, ctrl) in controllers.iter_mut().enumerate() {
-            if calendar && wakeups[ch] > now {
+            if wakeups[ch] > now {
                 continue;
             }
             let issued_ch = ctrl.tick_into(now, scratch);
@@ -465,25 +299,23 @@ impl<C: MemoryController> MultiChannelSystem<C> {
                 absorb_fragment(host_requests, done, completions);
             }
             issued |= issued_ch;
-            if calendar {
-                // A channel that issued may issue again next cycle; one that
-                // did not reports its own next event (its hint is complete
-                // exactly because the tick issued nothing).
-                let wakeup = if issued_ch {
-                    now + 1
-                } else {
-                    ctrl.next_event_at(now)
-                        .map_or(Cycle::MAX, |t| t.max(now + 1))
-                };
-                if wakeup != wakeups[ch] {
-                    wakeups[ch] = wakeup;
-                    if wakeup != Cycle::MAX {
-                        heap.push(Reverse((wakeup, ch as u16)));
-                    }
+            // A channel that issued may issue again next cycle; one that did
+            // not reports its own next event (its hint is complete exactly
+            // because the tick issued nothing).
+            let wakeup = if issued_ch {
+                now + 1
+            } else {
+                ctrl.next_event_at(now)
+                    .map_or(Cycle::MAX, |t| t.max(now + 1))
+            };
+            if wakeup != wakeups[ch] {
+                wakeups[ch] = wakeup;
+                if wakeup != Cycle::MAX {
+                    heap.push(Reverse((wakeup, ch as u16)));
                 }
             }
         }
-        if calendar && heap.len() > (4 * controllers.len()).max(64) {
+        if heap.len() > (4 * controllers.len()).max(64) {
             // Compact the lazy heap: rebuild it from the authoritative
             // per-channel slots (amortized O(1) per push).
             heap.clear();
@@ -504,9 +336,9 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     /// backlogged fragment could enter a queue. `None` when the whole system
     /// is quiescent.
     ///
-    /// In calendar mode this is a heap peek plus an O(channels) admission
-    /// probe; stale heap entries encountered on the way are discarded
-    /// (`&mut self` exists for exactly that lazy maintenance). Each distinct
+    /// This is a heap peek plus an O(channels) admission probe; stale heap
+    /// entries encountered on the way are discarded (`&mut self` exists for
+    /// exactly that lazy maintenance). Each distinct
     /// channel is probed for admission at most once, however long its
     /// backlog is.
     pub fn next_event_at(&mut self, now: Cycle) -> Option<Cycle> {
@@ -514,33 +346,23 @@ impl<C: MemoryController> MultiChannelSystem<C> {
 
         // Admission probe: a backlogged fragment whose channel has a free
         // slot of its kind can enqueue on the next cycle.
-        let channels = self.controllers.len();
-        for ch in 0..channels {
-            let ctrl = &self.controllers[ch];
-            if (self.backlog.has_pending(ch, RequestKind::Read)
-                && ctrl.slots_free_for(RequestKind::Read) > 0)
-                || (self.backlog.has_pending(ch, RequestKind::Write)
-                    && ctrl.slots_free_for(RequestKind::Write) > 0)
-            {
-                horizon.consider(now + 1);
-                break;
-            }
+        if self
+            .backlog
+            .iter()
+            .zip(&self.controllers)
+            .any(|(queue, ctrl)| queue.can_enqueue(ctrl))
+        {
+            horizon.consider(now + 1);
         }
 
-        if self.calendar {
-            // Discard stale heap tops until one matches its channel's
-            // current slot; that entry is the true minimum wakeup.
-            while let Some(&Reverse((w, ch))) = self.heap.peek() {
-                if self.wakeups[ch as usize] == w {
-                    horizon.consider(w);
-                    break;
-                }
-                self.heap.pop();
+        // Discard stale heap tops until one matches its channel's current
+        // slot; that entry is the true minimum wakeup.
+        while let Some(&Reverse((w, ch))) = self.heap.peek() {
+            if self.wakeups[ch as usize] == w {
+                horizon.consider(w);
+                break;
             }
-        } else {
-            for ctrl in &self.controllers {
-                horizon.consider_opt(ctrl.next_event_at(now));
-            }
+            self.heap.pop();
         }
         horizon.earliest()
     }
@@ -553,39 +375,18 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     #[cfg(test)]
     fn next_event_at_oracle(&self, now: Cycle) -> Option<Cycle> {
         let mut horizon = EventHorizon::new(now);
-        let channels = self.controllers.len();
-        let mut pending = vec![[false; 2]; channels];
-        match &self.backlog {
-            BacklogStore::Global { entries, .. } => {
-                for (channel, entry) in entries {
-                    let idx = BacklogStore::<C>::kind_index(C::entry_kind(entry));
-                    pending[*channel as usize % channels][idx] = true;
-                }
-            }
-            BacklogStore::PerChannel(queues) => {
-                for (ch, queue) in queues.iter().enumerate() {
-                    for entry in &queue.entries {
-                        pending[ch][BacklogStore::<C>::kind_index(C::entry_kind(entry))] = true;
-                    }
-                }
-            }
-        }
-        for (ch, ctrl) in self.controllers.iter().enumerate() {
-            if (pending[ch][0] && ctrl.slots_free_for(RequestKind::Read) > 0)
-                || (pending[ch][1] && ctrl.slots_free_for(RequestKind::Write) > 0)
-            {
+        for (queue, ctrl) in self.backlog.iter().zip(&self.controllers) {
+            let admissible = |kind| {
+                ctrl.slots_free_for(kind) > 0
+                    && queue.entries.iter().any(|e| C::entry_kind(e) == kind)
+            };
+            if admissible(RequestKind::Read) || admissible(RequestKind::Write) {
                 horizon.consider(now + 1);
             }
         }
-        if self.calendar {
-            for &w in &self.wakeups {
-                if w != Cycle::MAX {
-                    horizon.consider(w);
-                }
-            }
-        } else {
-            for ctrl in &self.controllers {
-                horizon.consider_opt(ctrl.next_event_at(now));
+        for &w in &self.wakeups {
+            if w != Cycle::MAX {
+                horizon.consider(w);
             }
         }
         horizon.earliest()
@@ -786,10 +587,7 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         C: Send,
     {
         self.arm_trace(budget);
-        let channels = self.controllers.len();
-        let mut backlogs: Vec<ChannelBacklog<C>> =
-            std::mem::replace(&mut self.backlog, BacklogStore::PerChannel(Vec::new()))
-                .into_channel_queues(channels);
+        let mut backlogs = std::mem::take(&mut self.backlog);
 
         let tasks: Vec<(&mut C, &mut ChannelBacklog<C>)> = self
             .controllers
@@ -809,7 +607,7 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         // Fragments still waiting when max_ns cut the run short go back to
         // the system backlog: they stay visible to is_idle() and to a later
         // run_until_idle / tick_into, exactly like the per-cycle path.
-        self.backlog = BacklogStore::from_channel_queues(backlogs, self.calendar);
+        self.backlog = backlogs;
         // The controllers advanced outside the calendar's bookkeeping; every
         // cached wakeup is stale.
         self.reset_calendar();
@@ -1136,37 +934,94 @@ mod tests {
     const CHANNELS: usize = 3;
     const GRANULARITY: u64 = 64;
 
-    fn mock_system(calendar: bool) -> MultiChannelSystem<MockController> {
-        let mut sys =
-            MultiChannelSystem::new((0..CHANNELS).map(|_| MockController::new(2)).collect());
-        sys.set_calendar(calendar);
-        sys
+    fn mock_system() -> MultiChannelSystem<MockController> {
+        MultiChannelSystem::new((0..CHANNELS).map(|_| MockController::new(2)).collect())
+    }
+
+    fn channel_of(frag: &MemoryRequest) -> usize {
+        ((frag.address.raw() / GRANULARITY) % CHANNELS as u64) as usize
     }
 
     fn submit(sys: &mut MultiChannelSystem<MockController>, req: MemoryRequest) {
-        sys.submit_with(req, GRANULARITY, |frag| {
-            let ch = (frag.address.raw() / GRANULARITY) % CHANNELS as u64;
-            (ch as u16, frag)
-        });
+        sys.submit_with(req, GRANULARITY, |frag| (channel_of(&frag) as u16, frag));
+    }
+
+    /// Test-only stepped reference for the calendar: every mock controller
+    /// is ticked on every cycle, and each channel admits from a plain FIFO
+    /// of its fragments (in arrival order, skipping only fragments whose
+    /// kind has no free slot) before the ticks. No cached wakeups, no heap
+    /// and no pending counts.
+    struct SteppedReference {
+        controllers: Vec<MockController>,
+        backlog: Vec<VecDeque<MemoryRequest>>,
+        /// Host request and its outstanding fragments and latest completion.
+        hosts: HashMap<RequestId, (MemoryRequest, u64, Cycle)>,
+        scratch: Vec<CompletedRequest>,
+    }
+
+    impl SteppedReference {
+        fn new() -> Self {
+            SteppedReference {
+                controllers: (0..CHANNELS).map(|_| MockController::new(2)).collect(),
+                backlog: vec![VecDeque::new(); CHANNELS],
+                hosts: HashMap::new(),
+                scratch: Vec::new(),
+            }
+        }
+
+        fn submit(&mut self, req: MemoryRequest) {
+            let fragments = req.fragments(GRANULARITY);
+            self.hosts.insert(req.id, (req, fragments.len() as u64, 0));
+            for frag in fragments {
+                self.backlog[channel_of(&frag)].push_back(frag);
+            }
+        }
+
+        fn is_idle(&self) -> bool {
+            self.backlog.iter().all(VecDeque::is_empty)
+                && self.controllers.iter().all(MockController::is_idle)
+        }
+
+        /// Admit and tick every channel at `now`, in channel order.
+        fn step(&mut self, now: Cycle, done: &mut Vec<HostCompletion>) {
+            for (ctrl, fifo) in self.controllers.iter_mut().zip(&mut self.backlog) {
+                fifo.retain(|f| !(ctrl.slots_free_for(f.kind) > 0 && ctrl.enqueue_entry(*f)));
+            }
+            for ctrl in &mut self.controllers {
+                ctrl.tick_into(now, &mut self.scratch);
+                for frag in self.scratch.drain(..) {
+                    let (host, outstanding, last) =
+                        self.hosts.get_mut(&frag.id).expect("known host request");
+                    *outstanding -= 1;
+                    *last = (*last).max(frag.completed);
+                    if *outstanding == 0 {
+                        done.push(HostCompletion {
+                            id: host.id,
+                            kind: host.kind,
+                            bytes: host.bytes,
+                            arrival: host.arrival,
+                            completed: *last,
+                        });
+                    }
+                }
+            }
+        }
     }
 
     /// Drive the event loop up to (exactly) `until`, so interleaved
-    /// submissions land at identical cycles in every compared system. With
-    /// `check_oracle`, the incremental `next_event_at` is compared against
-    /// the from-scratch recompute after every tick.
+    /// submissions land at identical cycles in every compared system. The
+    /// incremental `next_event_at` is compared against the from-scratch
+    /// recompute after every tick.
     fn advance(
         sys: &mut MultiChannelSystem<MockController>,
         mut now: Cycle,
         until: Cycle,
         done: &mut Vec<HostCompletion>,
-        check_oracle: bool,
     ) -> Cycle {
         while now < until {
             let issued = sys.tick_into(now, done);
-            if check_oracle {
-                let oracle = sys.next_event_at_oracle(now);
-                assert_eq!(sys.next_event_at(now), oracle, "calendar diverged at {now}");
-            }
+            let oracle = sys.next_event_at_oracle(now);
+            assert_eq!(sys.next_event_at(now), oracle, "calendar diverged at {now}");
             let next = if issued {
                 now + 1
             } else {
@@ -1177,20 +1032,18 @@ mod tests {
         now
     }
 
-    /// Drive the event loop until the system is idle.
+    /// Drive the event loop until the system is idle, checking
+    /// `next_event_at` like [`advance`].
     fn drain(
         sys: &mut MultiChannelSystem<MockController>,
         mut now: Cycle,
         done: &mut Vec<HostCompletion>,
-        check_oracle: bool,
     ) -> Cycle {
         let mut steps = 0u64;
         while !sys.is_idle() {
             let issued = sys.tick_into(now, done);
-            if check_oracle {
-                let oracle = sys.next_event_at_oracle(now);
-                assert_eq!(sys.next_event_at(now), oracle, "calendar diverged at {now}");
-            }
+            let oracle = sys.next_event_at_oracle(now);
+            assert_eq!(sys.next_event_at(now), oracle, "calendar diverged at {now}");
             now = if issued {
                 now + 1
             } else {
@@ -1215,34 +1068,45 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The tentpole invariant: over random interleavings of submissions
-        /// and event-driven time, the incrementally maintained
-        /// `next_event_at` (cached wakeups + lazy heap + pending counts)
-        /// always equals a from-scratch recompute, and the calendar run
-        /// produces exactly the completions of the pre-calendar loop.
+        /// Over random interleavings of submissions and event-driven time,
+        /// the incrementally maintained `next_event_at` (cached wakeups +
+        /// lazy heap + pending counts) always equals a from-scratch
+        /// recompute, and the calendar run produces exactly the completions
+        /// of the stepped reference, which ticks every channel every cycle.
         #[test]
         fn incremental_next_event_matches_from_scratch_recompute(
             ops in prop::collection::vec((0u64..6, 0u64..2, 1u64..5, 0u64..30), 1..24)
         ) {
-            let mut cal = mock_system(true);
-            let mut plain = mock_system(false);
+            let mut cal = mock_system();
+            let mut stepped = SteppedReference::new();
             let mut done_cal = Vec::new();
-            let mut done_plain = Vec::new();
-            let (mut now_cal, mut now_plain) = (0u64, 0u64);
+            let mut done_stepped = Vec::new();
+            let (mut now_cal, mut now_stepped) = (0u64, 0u64);
             let mut t = 0u64;
             for (i, &(seed, kind, chunks, gap)) in ops.iter().enumerate() {
                 let req = request(i as u64 + 1, seed, kind == 1, chunks, t);
                 submit(&mut cal, req);
-                submit(&mut plain, req);
+                stepped.submit(req);
                 t += gap;
-                now_cal = advance(&mut cal, now_cal, t, &mut done_cal, true);
-                now_plain = advance(&mut plain, now_plain, t, &mut done_plain, false);
+                now_cal = advance(&mut cal, now_cal, t, &mut done_cal);
+                while now_stepped < t {
+                    stepped.step(now_stepped, &mut done_stepped);
+                    now_stepped += 1;
+                }
             }
-            now_cal = drain(&mut cal, now_cal, &mut done_cal, true);
-            now_plain = drain(&mut plain, now_plain, &mut done_plain, false);
-            prop_assert_eq!(done_cal, done_plain);
-            prop_assert_eq!(now_cal, now_plain);
-            prop_assert_eq!(cal.bytes_per_channel(), plain.bytes_per_channel());
+            now_cal = drain(&mut cal, now_cal, &mut done_cal);
+            while !stepped.is_idle() {
+                stepped.step(now_stepped, &mut done_stepped);
+                now_stepped += 1;
+            }
+            prop_assert_eq!(done_cal, done_stepped);
+            prop_assert_eq!(now_cal, now_stepped);
+            let stepped_bytes: Vec<u64> = stepped
+                .controllers
+                .iter()
+                .map(|c| c.stats.bytes_read + c.stats.bytes_written)
+                .collect();
+            prop_assert_eq!(cal.bytes_per_channel(), stepped_bytes);
         }
     }
 
@@ -1251,38 +1115,19 @@ mod tests {
         // Enough sequential traffic to push the heap past its compaction
         // threshold (max(64, 4 × channels)) several times over; the oracle
         // check inside drain() pins every step.
-        let mut sys = mock_system(true);
+        let mut sys = mock_system();
         for i in 0..96u64 {
             submit(&mut sys, request(i + 1, i, i % 3 == 0, 2, 0));
         }
         let mut done = Vec::new();
-        drain(&mut sys, 0, &mut done, true);
+        drain(&mut sys, 0, &mut done);
         assert_eq!(done.len(), 96);
         assert!(sys.is_idle());
     }
 
     #[test]
-    fn set_calendar_migrates_pending_fragments() {
-        // Fill a deep backlog, flip representations mid-flight both ways,
-        // and verify nothing is lost or reordered within a channel.
-        let mut sys = mock_system(true);
-        for i in 0..32u64 {
-            submit(&mut sys, request(i + 1, i, i % 2 == 0, 3, 0));
-        }
-        sys.set_calendar(false);
-        assert!(!sys.is_idle());
-        let mut done = Vec::new();
-        let now = advance(&mut sys, 0, 40, &mut done, false);
-        sys.set_calendar(true);
-        drain(&mut sys, now, &mut done, true);
-        assert_eq!(done.len(), 32);
-        let total: u64 = sys.bytes_per_channel().iter().sum();
-        assert_eq!(total, 32 * 3 * GRANULARITY);
-    }
-
-    #[test]
     fn quiescent_system_reports_no_events() {
-        let mut sys = mock_system(true);
+        let mut sys = mock_system();
         // A fresh (or reset) calendar marks every channel dirty, so the
         // first query conservatively wakes on the next cycle — a harmless
         // spurious event, never a missed one.
@@ -1293,7 +1138,7 @@ mod tests {
         submit(&mut sys, request(1, 0, false, 1, 0));
         // Pending backlog with free slots: admission possible next cycle.
         assert_eq!(sys.next_event_at(5), Some(6));
-        drain(&mut sys, 0, &mut done, true);
+        drain(&mut sys, 0, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(sys.next_event_at(10_000), None);
     }

@@ -63,28 +63,6 @@ pub struct ControllerConfig {
     /// Write-queue occupancy at which the controller returns to serving
     /// reads.
     pub write_drain_low: usize,
-    /// Whether the FR-FCFS candidate scan uses the per-entry ready cache:
-    /// earliest-issue bounds computed for blocked entries are remembered and
-    /// each entry is skipped with one comparison until its cached cycle
-    /// arrives, instead of re-evaluating the constraint engine every tick.
-    /// DRAM timing constraints are monotone (issuing commands only moves
-    /// earliest-issue times later), so the cache cannot change a single
-    /// scheduling decision — the equivalence suite pins bit-identical
-    /// reports with the cache on and off. Disable only to measure its
-    /// effect.
-    pub ready_cache: bool,
-    /// Whether the FR-FCFS scans run in data-oriented (struct-of-arrays)
-    /// form: the column scan walks the queue's packed ready/bank/row arrays
-    /// and tests row-open state against a per-channel bank bitmask, touching
-    /// an entry's full payload only when it is about to be probed or issued.
-    /// The SoA scans evaluate exactly the same predicates in exactly the
-    /// same order as the original entry-at-a-time scans (which stay compiled
-    /// in as the oracle), so the schedule is bit-identical — the equivalence
-    /// suite pins this with the toggle on and off. Disable only to measure
-    /// the effect or to cross-check against the oracle. The SoA scans
-    /// subsume the ready cache (the packed bound arrays are integral to the
-    /// layout), so `ready_cache` is only consulted by the oracle scan.
-    pub soa: bool,
 }
 
 impl ControllerConfig {
@@ -104,8 +82,6 @@ impl ControllerConfig {
             starvation_threshold: 2_000,
             write_drain_high: 48,
             write_drain_low: 16,
-            ready_cache: true,
-            soa: true,
         }
     }
 
@@ -150,7 +126,7 @@ pub struct ChannelController {
     /// `b >> 6`). Invariant: bit `b` set iff `open_rows[b].is_some()` —
     /// both are only mutated through
     /// [`ChannelController::set_open_row`] /
-    /// [`ChannelController::clear_open_row`], so the SoA column scan can
+    /// [`ChannelController::clear_open_row`], so the column scan can
     /// test row-open state with one shift instead of loading an `Option`
     /// per entry.
     open_mask: Vec<u64>,
@@ -159,24 +135,23 @@ pub struct ChannelController {
     /// ready hints: PRE timing only moves later as commands are recorded,
     /// so a probed bound stays a valid lower bound forever and a
     /// tRAS-blocked bank is skipped with one comparison per scan instead of
-    /// a CAM walk plus a constraint probe. Only the SoA scan consults it;
-    /// a stale-but-valid bound at worst wakes the event driver early (a
-    /// harmless spurious event).
+    /// a CAM walk plus a constraint probe. A stale-but-valid bound at worst
+    /// wakes the event driver early (a harmless spurious event).
     pre_ready: Vec<Cycle>,
     /// Cached lower bound on the earliest cycle an ACT can issue, per flat
     /// bank index (0 = unknown). Bank-scoped counterpart of the queues'
     /// per-entry ACT hints: when one entry's probe finds the bank blocked
     /// (tRC/tRP), every other queued entry on the same bank is blocked
     /// until the same cycle, so they skip without their own probes. Same
-    /// monotonicity argument and SoA-only consultation as `pre_ready`.
+    /// monotonicity argument as `pre_ready`.
     act_ready: Vec<Cycle>,
     /// Cached lower bound on the earliest cycle a column command can issue,
     /// per command kind (`[0]` RD, `[1]` WR) and flat bank index (0 =
     /// unknown). A column command's earliest issue depends only on its kind
     /// and its bank, so one probe answers for every row-hit entry on the
-    /// bank: the SoA column scan parks the others on this bound instead of
+    /// bank: the column scan parks the others on this bound instead of
     /// probing each, and probes again only once it expires. Same
-    /// monotonicity argument and SoA-only consultation as `pre_ready`.
+    /// monotonicity argument as `pre_ready`.
     col_ready: [Vec<Cycle>; 2],
     /// Flat bank indexing shared with the queues' packed bank arrays.
     indexer: BankIndexer,
@@ -197,11 +172,11 @@ pub struct ChannelController {
     act_at: Vec<Cycle>,
     /// Earliest future cycle at which a command the scheduler wanted to
     /// issue this tick becomes timing-legal. Only complete after a tick that
-    /// issued nothing: the refresh logic, the oracle scans and the one-pass
-    /// SoA column scan record it inline as a byproduct of their failed
-    /// attempts, while the two-phase SoA scans leave every blocked bound in
-    /// the queue's packed arrays and the tick reads the minimum back once it
-    /// has issued nothing (see [`ChannelController::hint_from_parked_bounds`]).
+    /// issued nothing: the refresh logic and the one-pass column scan
+    /// record it inline as a byproduct of their failed attempts, while the
+    /// two-phase scans leave every blocked bound in the queue's packed
+    /// arrays and the tick reads the minimum back once it has issued nothing
+    /// (see [`ChannelController::hint_from_parked_bounds`]).
     event_hint: Cycle,
 }
 
@@ -248,15 +223,6 @@ impl ChannelController {
     /// The controller configuration.
     pub fn config(&self) -> &ControllerConfig {
         &self.config
-    }
-
-    /// Enable or disable the data-oriented (struct-of-arrays) FR-FCFS scans
-    /// (see [`ControllerConfig::soa`]). The SoA and oracle scans make
-    /// identical decisions over identical state, so toggling mid-run is
-    /// safe; it exists so equivalence tests and benchmarks can compare the
-    /// two paths.
-    pub fn set_soa(&mut self, enabled: bool) {
-        self.config.soa = enabled;
     }
 
     /// Record `row` as open in `open_rows` and the row-open mask (the only
@@ -365,7 +331,7 @@ impl ChannelController {
     }
 
     fn bank_index(&self, bank: BankAddress) -> usize {
-        flat_bank_index(&self.config.organization, bank)
+        self.indexer.flat(bank)
     }
 
     fn rank_index(&self, bank: BankAddress) -> usize {
@@ -445,7 +411,7 @@ impl ChannelController {
             .max(self.read_queue.peak_occupancy());
         self.stats.dram = *self.channel.counters();
         let issued = issued_col || issued_row || issued_refresh;
-        if !issued && self.config.soa {
+        if !issued {
             self.hint_from_parked_bounds(now);
         }
         issued
@@ -538,7 +504,7 @@ impl ChannelController {
         self.active_queue().oldest_age(now) > self.config.starvation_threshold
     }
 
-    /// Complete `event_hint` after an SoA tick that issued nothing. The
+    /// Complete `event_hint` after a tick that issued nothing. The
     /// two-phase scans keep no running hint: every entry they find blocked
     /// either already holds a future bound or gets one stored (in
     /// `ready_at` by the column scan, in `act_ready_at` by the row scan),
@@ -765,6 +731,8 @@ impl ChannelController {
     fn schedule_column(&mut self, now: Cycle) -> bool {
         let is_write_phase = self.write_drain;
         let starved = self.starved(now);
+        #[cfg(test)]
+        let expected = self.reference_column_pick(now);
 
         // Per-pseudo-channel gate: the PC scope bounds the earliest issue of
         // every column command on that PC, so a blocked PC disqualifies all
@@ -784,19 +752,20 @@ impl ChannelController {
             }
         }
 
-        // Gather the candidate index: oldest entry whose row is open and
-        // whose column command is issuable now. Entries blocked only by
-        // timing feed the event hint with (a lower bound on) their
-        // earliest-issue cycle — inline in the oracle and one-pass scans,
-        // through their stored bounds in the two-phase SoA scan.
+        // Pick the oldest entry whose row is open and whose column command is
+        // issuable now. The scan walks plain slices of the queue's packed
+        // arrays (one `scan_view` split-borrow, so the base pointers and
+        // bounds stay in registers) and the row-open bitmask; the 64-byte
+        // entry payload is only loaded for an entry that reaches the
+        // earliest-issue probe.
         //
-        // Ready cache: a bound computed for a blocked entry is stored in the
-        // queue and the entry is skipped with one comparison on subsequent
+        // Stored bounds: a bound computed for a blocked entry is kept in
+        // `ready_at`, and the entry is skipped with one comparison on later
         // scans until the bound's cycle arrives. Timing constraints are
         // monotone — issuing commands only pushes earliest-issue times later
         // — so a stored bound stays a valid lower bound for the entry's
-        // lifetime and the scan selects exactly the same candidate as a full
-        // re-evaluation; at worst a stale bound wakes the event-driven
+        // lifetime and the scan picks exactly the entry a from-scratch probe
+        // of every entry would; at worst a stale bound wakes the event-driven
         // driver a few cycles early (a harmless spurious event).
         let (candidate, hint) = {
             let ChannelController {
@@ -815,121 +784,67 @@ impl ChannelController {
             } else {
                 &mut *read_queue
             };
-            if config.soa {
-                // Data-oriented scan: identical predicates in identical
-                // order to the oracle scan below, but evaluated over plain
-                // slices of the queue's packed arrays (one `scan_view`
-                // split-borrow, so the base pointers and bounds stay in
-                // registers) and the row-open bitmask — the 64-byte entry
-                // payload is only loaded for the entry that reaches the
-                // earliest-issue probe. The packed bound array is consulted
-                // unconditionally (it subsumes `ready_cache`); the cache is
-                // inert by the monotonicity argument on `ready_cache`, so
-                // this cannot change a decision.
-                let fcfs = config.scheduling == SchedulingPolicy::Fcfs;
-                let frfcfs = config.scheduling == SchedulingPolicy::FrFcfs;
-                let crate::queue::ScanView {
-                    ready_at,
-                    bank,
-                    row,
-                    row_match,
-                    entries,
-                    ..
-                } = queue.scan_view();
-                let n = bank.len();
-                let ready_at = &mut ready_at[..n];
-                let row = &row[..n];
-                let row_match = &row_match[..n];
-                let mut found: Option<usize> = None;
-                let mut hint = Cycle::MAX;
-                if frfcfs && !starved {
-                    // Two-phase blocked scan. Phase 1 is a branchless sweep
-                    // over one `PREPASS_BLOCK` of entries that collects the
-                    // entries needing real work — expired bound AND open
-                    // row match — into a per-block bitmask (a branchless
-                    // shift-or, so the randomly open/closed banks cost no
-                    // branch mispredicts). Phase 2 runs the pseudo-channel
-                    // gate, the per-bank `col_ready` bound and the
-                    // earliest-issue probes over the (few) candidates in age
-                    // order — identical decisions to the one-pass loop.
-                    // Sweeping block-by-block keeps the one-pass loop's
-                    // early exit: an issuing tick stops within one block of
-                    // the entry it picks. Every blocked candidate stores its
-                    // bound in `ready_at`, so the scan keeps no wakeup hint:
-                    // a tick that issues nothing reads the minimum back from
-                    // the stored bounds.
-                    //
-                    // A candidate whose bank bound lies in the future is
-                    // parked on it without a probe. The entry whose probe set
-                    // that bound still holds it in `ready_at` (only an
-                    // expired bound is ever overwritten, and no entry issues
-                    // before its bound), so the stored minimum — the hint —
-                    // is the same as if every candidate had been probed.
-                    let col_ready = &mut col_ready[is_write_phase as usize];
-                    let mut base = 0usize;
-                    'col: while base < n {
-                        let end = (base + PREPASS_BLOCK).min(n);
-                        let mut cand_mask: u32 = 0;
-                        for i in base..end {
-                            cand_mask |=
-                                (((ready_at[i] <= now) & (row_match[i] == 1)) as u32) << (i - base);
-                        }
-                        let block = base;
-                        base = end;
-                        while cand_mask != 0 {
-                            let i = block + cand_mask.trailing_zeros() as usize;
-                            cand_mask &= cand_mask - 1;
-                            let b = bank[i] as usize;
-                            let pc = indexer.pseudo_channel_of(b);
-                            if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                                ready_at[i] = pc_bound[pc];
-                                continue;
-                            }
-                            if col_ready[b] > now {
-                                ready_at[i] = col_ready[b];
-                                continue;
-                            }
-                            let e = entries.entry(i);
-                            let probe = column_command(e, false);
-                            let at = channel.earliest_issue(&probe, now);
-                            if at <= now {
-                                found = Some(i);
-                                break 'col;
-                            }
-                            ready_at[i] = at;
-                            col_ready[b] = at;
-                        }
+            let fcfs = config.scheduling == SchedulingPolicy::Fcfs;
+            let frfcfs = config.scheduling == SchedulingPolicy::FrFcfs;
+            let crate::queue::ScanView {
+                ready_at,
+                bank,
+                row,
+                row_match,
+                entries,
+                ..
+            } = queue.scan_view();
+            let n = bank.len();
+            let ready_at = &mut ready_at[..n];
+            let row = &row[..n];
+            let row_match = &row_match[..n];
+            let mut found: Option<usize> = None;
+            let mut hint = Cycle::MAX;
+            if frfcfs && !starved {
+                // Two-phase blocked scan. Phase 1 is a branchless sweep
+                // over one `PREPASS_BLOCK` of entries that collects the
+                // entries needing real work — expired bound AND open
+                // row match — into a per-block bitmask (a branchless
+                // shift-or, so the randomly open/closed banks cost no
+                // branch mispredicts). Phase 2 runs the pseudo-channel
+                // gate, the per-bank `col_ready` bound and the
+                // earliest-issue probes over the (few) candidates in age
+                // order — identical decisions to the one-pass loop.
+                // Sweeping block-by-block keeps the one-pass loop's
+                // early exit: an issuing tick stops within one block of
+                // the entry it picks. Every blocked candidate stores its
+                // bound in `ready_at`, so the scan keeps no wakeup hint:
+                // a tick that issues nothing reads the minimum back from
+                // the stored bounds.
+                //
+                // A candidate whose bank bound lies in the future is
+                // parked on it without a probe. The entry whose probe set
+                // that bound still holds it in `ready_at` (only an
+                // expired bound is ever overwritten, and no entry issues
+                // before its bound), so the stored minimum — the hint —
+                // is the same as if every candidate had been probed.
+                let col_ready = &mut col_ready[is_write_phase as usize];
+                let mut base = 0usize;
+                'col: while base < n {
+                    let end = (base + PREPASS_BLOCK).min(n);
+                    let mut cand_mask: u32 = 0;
+                    for i in base..end {
+                        cand_mask |=
+                            (((ready_at[i] <= now) & (row_match[i] == 1)) as u32) << (i - base);
                     }
-                } else {
-                    // One-pass form: needed verbatim for FCFS ordering and
-                    // starvation mode (both break the scan early on
-                    // position, which the two-phase sweep cannot honor).
-                    for i in 0..n {
-                        if starved && i != 0 && frfcfs {
-                            break;
-                        }
-                        let cached = ready_at[i];
-                        if cached > now {
-                            hint = hint.min(cached);
-                            if fcfs {
-                                break;
-                            }
-                            continue;
-                        }
+                    let block = base;
+                    base = end;
+                    while cand_mask != 0 {
+                        let i = block + cand_mask.trailing_zeros() as usize;
+                        cand_mask &= cand_mask - 1;
                         let b = bank[i] as usize;
-                        if open_mask[b >> 6] >> (b & 63) & 1 == 0 || open_rows[b] != Some(row[i]) {
-                            if fcfs {
-                                break;
-                            }
-                            continue;
-                        }
                         let pc = indexer.pseudo_channel_of(b);
                         if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                            hint = hint.min(pc_bound[pc]);
                             ready_at[i] = pc_bound[pc];
-                            if fcfs {
-                                break;
-                            }
+                            continue;
+                        }
+                        if col_ready[b] > now {
+                            ready_at[i] = col_ready[b];
                             continue;
                         }
                         let e = entries.entry(i);
@@ -937,77 +852,65 @@ impl ChannelController {
                         let at = channel.earliest_issue(&probe, now);
                         if at <= now {
                             found = Some(i);
-                            break;
+                            break 'col;
                         }
-                        hint = hint.min(at);
                         ready_at[i] = at;
+                        col_ready[b] = at;
+                    }
+                }
+            } else {
+                // One-pass form: needed verbatim for FCFS ordering and
+                // starvation mode (both break the scan early on
+                // position, which the two-phase sweep cannot honor).
+                for i in 0..n {
+                    if starved && i != 0 && frfcfs {
+                        break;
+                    }
+                    let cached = ready_at[i];
+                    if cached > now {
+                        hint = hint.min(cached);
                         if fcfs {
                             break;
                         }
+                        continue;
                     }
-                }
-                (found, hint)
-            } else {
-                let use_cache = config.ready_cache;
-                let mut found: Option<usize> = None;
-                let mut hint = Cycle::MAX;
-                for i in 0..queue.len() {
-                    if starved && i != 0 && config.scheduling == SchedulingPolicy::FrFcfs {
-                        break;
-                    }
-                    // Ready-cache skip before even touching the entry: a cached
-                    // bound is timing-only, so it disqualifies the entry whether
-                    // or not its row is (still) open, and the stale-but-valid
-                    // hint merely wakes the event driver early.
-                    if use_cache {
-                        let cached = queue.ready_hint_oracle(i);
-                        if cached > now {
-                            hint = hint.min(cached);
-                            if config.scheduling == SchedulingPolicy::Fcfs {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    let e = *queue.get(i).expect("index in bounds");
-                    let idx = flat_bank_index(&config.organization, e.dram.bank);
-                    if open_rows[idx] != Some(e.dram.row) {
-                        if config.scheduling == SchedulingPolicy::Fcfs {
+                    let b = bank[i] as usize;
+                    if open_mask[b >> 6] >> (b & 63) & 1 == 0 || open_rows[b] != Some(row[i]) {
+                        if fcfs {
                             break;
                         }
                         continue;
                     }
-                    let pc = e.dram.bank.pseudo_channel as usize;
+                    let pc = indexer.pseudo_channel_of(b);
                     if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
                         hint = hint.min(pc_bound[pc]);
-                        if use_cache {
-                            queue.set_ready_hint_oracle(i, pc_bound[pc]);
-                        }
-                        if config.scheduling == SchedulingPolicy::Fcfs {
+                        ready_at[i] = pc_bound[pc];
+                        if fcfs {
                             break;
                         }
                         continue;
                     }
-                    // Earliest-issue does not depend on the auto-precharge flag,
-                    // so the O(queue) pending-hit lookup that decides it is
-                    // deferred until an entry is actually chosen.
-                    let probe = column_command(&e, false);
+                    let e = entries.entry(i);
+                    let probe = column_command(e, false);
                     let at = channel.earliest_issue(&probe, now);
                     if at <= now {
                         found = Some(i);
                         break;
                     }
                     hint = hint.min(at);
-                    if use_cache {
-                        queue.set_ready_hint_oracle(i, at);
-                    }
-                    if config.scheduling == SchedulingPolicy::Fcfs {
+                    ready_at[i] = at;
+                    if fcfs {
                         break;
                     }
                 }
-                (found, hint)
             }
+            (found, hint)
         };
+        #[cfg(test)]
+        assert_eq!(
+            candidate, expected,
+            "column pick diverged from the reference at {now}"
+        );
         if hint != Cycle::MAX {
             self.hint_event(hint);
         }
@@ -1056,14 +959,10 @@ impl ChannelController {
     /// Try to issue a row command (ACT or PRE) that makes progress for the
     /// active queue. Returns `true` if a command was issued.
     fn schedule_row(&mut self, now: Cycle) -> bool {
-        enum RowAction {
-            Act { index: usize, row: u32 },
-            Pre { bank: BankAddress },
-        }
-
-        let (action, hint) = {
+        #[cfg(test)]
+        let expected = self.reference_row_action(now);
+        let action = {
             let ChannelController {
-                config,
                 channel,
                 open_rows,
                 open_mask,
@@ -1081,20 +980,18 @@ impl ChannelController {
             } else {
                 &mut *read_queue
             };
-            if config.soa && queue.row_scan_idle(now) {
+            if queue.row_scan_idle(now) {
                 // Every row-relevant entry is parked past `now` (the
                 // queue's row-scan floor), so the pre-pass below would
                 // find no candidate: the scan would issue nothing, store
                 // no bound and leave the wakeup hint as it is.
-                (None, Cycle::MAX)
-            } else if config.soa {
-                // Data-oriented scan: same predicates and order as the
-                // oracle scan below, over the packed bank array and the
-                // row-open bitmask. The refresh-reserved comparison moves
-                // to flat indices (the flat index is injective, so flat
-                // equality is bank-address equality), and the entry payload
-                // is only loaded once an entry survives the reserved /
-                // mask / cached-bound gates.
+                None
+            } else {
+                // Scan over the packed bank array and the row-open bitmask.
+                // The refresh-reserved comparison uses flat indices (the
+                // flat index is injective, so flat equality is bank-address
+                // equality), and the entry payload is only loaded once an
+                // entry survives the reserved / mask / cached-bound gates.
                 let reserved: Option<usize> = refresh_reserved_bank.map(|b| indexer.flat(b));
                 // Lazy per-rank ACT-bound cache: `rank_act_bound` depends
                 // only on the rank (tRRD window max tFAW window — no `now`,
@@ -1132,8 +1029,8 @@ impl ChannelController {
                 // unless it is a row hit (`row_match` — a column
                 // candidate, not a row one) or pinned behind the adaptive
                 // page policy (`keep_open` — its bank's open row is still
-                // wanted, where the oracle's CAM walk contributes neither
-                // action nor hint). A relevant entry whose park bound
+                // wanted, so the entry can neither activate nor precharge
+                // it). A relevant entry whose park bound
                 // (`act_ready_at`) lies in the future is retired;
                 // survivors land in a per-block bitmask for the full
                 // scheduling body below, and each one found blocked
@@ -1291,100 +1188,14 @@ impl ChannelController {
                     // resets the floor.
                     queue.note_row_scan_idle(now);
                 }
-                (action, Cycle::MAX)
-            } else {
-                let use_cache = config.ready_cache;
-                let mut act: Option<(usize, u32, BankAddress)> = None;
-                let mut pre: Option<BankAddress> = None;
-                let mut hint = Cycle::MAX;
-                for i in 0..queue.len() {
-                    let e = *queue.get(i).expect("index in bounds");
-                    let idx = flat_bank_index(&config.organization, e.dram.bank);
-                    if *refresh_reserved_bank == Some(e.dram.bank) {
-                        continue;
-                    }
-                    match open_rows[idx] {
-                        None if act.is_none() => {
-                            // Ready cache: a previously computed ACT bound for
-                            // this entry is a permanent lower bound (ACT timing
-                            // constraints are monotone too), so skip with one
-                            // comparison until its cycle arrives.
-                            if use_cache {
-                                let cached = queue.act_ready_hint_oracle(i);
-                                if cached > now {
-                                    hint = hint.min(cached);
-                                    continue;
-                                }
-                            }
-                            // Rank-scope gate: tRRD/tFAW bound every ACT on
-                            // the rank, so a blocked rank disqualifies all
-                            // of its pending activations with one
-                            // comparison.
-                            let rank_bound = channel.rank_act_bound(e.dram.bank);
-                            if rank_bound > now {
-                                hint = hint.min(rank_bound);
-                                if use_cache {
-                                    queue.set_act_ready_hint_oracle(i, rank_bound);
-                                }
-                            } else {
-                                let cmd = DramCommand::Act {
-                                    target: CommandTarget::from_bank_address(e.dram.bank),
-                                    row: e.dram.row,
-                                };
-                                let at = channel.earliest_issue(&cmd, now);
-                                if at <= now && channel.can_issue(&cmd, now) {
-                                    act = Some((i, e.dram.row, e.dram.bank));
-                                } else {
-                                    let at = at.max(now + 1);
-                                    hint = hint.min(at);
-                                    if use_cache {
-                                        queue.set_act_ready_hint_oracle(i, at);
-                                    }
-                                }
-                            }
-                        }
-                        Some(open)
-                            if open != e.dram.row
-                        // Row conflict: precharge, but only if no queued
-                        // request still wants the open row (fairness).
-                        && pre.is_none() =>
-                        {
-                            let open_addr = rome_hbm::address::DramAddress {
-                                channel: e.dram.channel,
-                                bank: e.dram.bank,
-                                row: open,
-                                column: 0,
-                            };
-                            let still_wanted = queue.has_pending_row_hit(open_addr);
-                            let cmd = DramCommand::Pre {
-                                target: CommandTarget::from_bank_address(e.dram.bank),
-                            };
-                            if !still_wanted {
-                                let at = channel.earliest_issue(&cmd, now);
-                                if at <= now {
-                                    pre = Some(e.dram.bank);
-                                } else {
-                                    hint = hint.min(at);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                    if act.is_some() {
-                        break;
-                    }
-                }
-                let action = if let Some((index, row, _bank)) = act {
-                    Some(RowAction::Act { index, row })
-                } else {
-                    pre.map(|bank| RowAction::Pre { bank })
-                };
-                (action, hint)
+                action
             }
         };
-        if hint != Cycle::MAX {
-            self.hint_event(hint);
-        }
+        #[cfg(test)]
+        assert_eq!(
+            action, expected,
+            "row action diverged from the reference at {now}"
+        );
 
         match action {
             Some(RowAction::Act { index, row }) => {
@@ -1419,24 +1230,101 @@ impl ChannelController {
             None => false,
         }
     }
+
+    /// From-scratch reference for the column pick: the oldest active-queue
+    /// entry whose row is open and whose column command the constraint
+    /// engine allows now. It walks the entries themselves and uses no
+    /// packed arrays, stored bounds or hints. FCFS stops at the oldest entry
+    /// that cannot issue, and a starved FR-FCFS queue offers only its oldest
+    /// entry. The crate's test build checks every `schedule_column`
+    /// decision against it.
+    #[cfg(test)]
+    fn reference_column_pick(&self, now: Cycle) -> Option<usize> {
+        let queue = self.active_queue();
+        let fcfs = self.config.scheduling == SchedulingPolicy::Fcfs;
+        let considered = if self.starved(now) && !fcfs {
+            queue.len().min(1)
+        } else {
+            queue.len()
+        };
+        for (i, e) in queue.iter().take(considered).enumerate() {
+            let row_open = self.open_rows[self.indexer.flat(e.dram.bank)] == Some(e.dram.row);
+            if row_open && self.channel.earliest_issue(&column_command(e, false), now) <= now {
+                return Some(i);
+            }
+            if fcfs {
+                return None;
+            }
+        }
+        None
+    }
+
+    /// From-scratch reference for the row action, walking the active queue
+    /// oldest first and skipping a bank reserved for a refresh: the first
+    /// entry on a closed bank whose ACT is legal now wins; failing that, the
+    /// oldest entry whose bank holds another row, which no queued entry
+    /// still wants and which may be precharged now, gives a PRE. Like
+    /// [`ChannelController::reference_column_pick`] it uses no packed
+    /// arrays, stored bounds or hints, and the crate's test build checks
+    /// every `schedule_row` decision against it (the row-scan floor's skip
+    /// included).
+    #[cfg(test)]
+    fn reference_row_action(&self, now: Cycle) -> Option<RowAction> {
+        let queue = self.active_queue();
+        let mut pre = None;
+        for (index, e) in queue.iter().enumerate() {
+            let bank = e.dram.bank;
+            if self.refresh_reserved_bank == Some(bank) {
+                continue;
+            }
+            let target = CommandTarget::from_bank_address(bank);
+            match self.open_rows[self.indexer.flat(bank)] {
+                None => {
+                    let act = DramCommand::Act {
+                        target,
+                        row: e.dram.row,
+                    };
+                    if self.channel.can_issue(&act, now) {
+                        return Some(RowAction::Act {
+                            index,
+                            row: e.dram.row,
+                        });
+                    }
+                }
+                Some(open) if open != e.dram.row && pre.is_none() => {
+                    let wanted = queue.has_pending_row_hit(rome_hbm::address::DramAddress {
+                        row: open,
+                        ..e.dram
+                    });
+                    if !wanted
+                        && self
+                            .channel
+                            .earliest_issue(&DramCommand::Pre { target }, now)
+                            <= now
+                    {
+                        pre = Some(RowAction::Pre { bank });
+                    }
+                }
+                _ => {}
+            }
+        }
+        pre
+    }
 }
 
-/// Block size for the two-phase (branchless pre-pass) SoA scans. The
+/// The row command a row scan chose: an ACT for the entry at `index`, or a
+/// PRE of `bank`.
+#[derive(Debug, PartialEq)]
+enum RowAction {
+    Act { index: usize, row: u32 },
+    Pre { bank: BankAddress },
+}
+
+/// Block size for the two-phase (branchless pre-pass) scans. The
 /// pre-pass sweeps one block at a time so an issuing tick still exits within
 /// one block of the entry it picks, bounding the extra work versus a
 /// straight one-pass walk to under a block per scan.
 const PREPASS_BLOCK: usize = 32;
-
-/// Flat index of `bank` within one channel of `org` (PC-major, then stack
-/// ID, then bank group).
-fn flat_bank_index(org: &Organization, bank: BankAddress) -> usize {
-    let per_pc = org.banks_per_pseudo_channel() as usize;
-    let per_sid = (org.bank_groups * org.banks_per_group) as usize;
-    bank.pseudo_channel as usize * per_pc
-        + bank.stack_id as usize * per_sid
-        + bank.bank_group as usize * org.banks_per_group as usize
-        + bank.bank as usize
-}
 
 impl rome_engine::MemoryController for ChannelController {
     type Entry = QueueEntry;
@@ -1738,7 +1626,7 @@ mod tests {
             // Per-entry row-match / keep-open flags and per-bank
             // open-row-hit counts ⇔ a from-scratch recompute against the
             // controller's open rows (the incrementally maintained
-            // adaptive-page-policy state the SoA row scan trusts).
+            // adaptive-page-policy state the row scan trusts).
             let mut hits = vec![0u16; ctrl.indexer.banks()];
             let mut row_match = Vec::new();
             for e in queue.iter() {
@@ -1787,7 +1675,7 @@ mod tests {
         // Per-bank column bounds ⇔ lower bounds on the constraint engine's
         // answer. Probing at cycle 0 leaves only the constraints themselves
         // (`earliest_issue` clamps to its `now`), so this is the strictest
-        // form of the invariant the SoA column scan parks entries on.
+        // form of the invariant the column scan parks entries on.
         let org = ctrl.config.organization;
         for pc in 0..org.pseudo_channels {
             for sid in 0..org.stack_ids {
@@ -1826,11 +1714,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Random enqueue/issue/refresh sequences: after every tick, every
-        /// bitmask the SoA scans consult must match a from-scratch per-bank
+        /// bitmask the scans consult must match a from-scratch per-bank
         /// recount, every per-bank column bound must lower-bound the
-        /// constraint engine, a known row-scan floor must lower-bound every
-        /// row-relevant entry's park bound, and the SoA and oracle
-        /// controllers must stay in lockstep.
+        /// constraint engine, and a known row-scan floor must lower-bound
+        /// every row-relevant entry's park bound. Every column and row
+        /// decision on the way is checked against the from-scratch
+        /// references inside the scans themselves.
         #[test]
         fn bitmasks_match_a_from_scratch_per_bank_oracle(
             ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..12), 1..32),
@@ -1846,12 +1735,8 @@ mod tests {
             // Auto-precharge closes banks that still have queued entries,
             // which exercises the queue's `note_pre` bookkeeping.
             cfg.page_policy = page_policy;
-            let mut soa = ChannelController::new(cfg.clone());
-            let mut cfg_plain = cfg;
-            cfg_plain.soa = false;
-            let mut plain = ChannelController::new(cfg_plain);
-            let mut done_soa = Vec::new();
-            let mut done_plain = Vec::new();
+            let mut ctrl = ChannelController::new(cfg);
+            let mut done = Vec::new();
             let mut now = 0u64;
             for (i, &(seed, kind, gap)) in ops.iter().enumerate() {
                 let addr = seed * 32;
@@ -1860,31 +1745,26 @@ mod tests {
                 } else {
                     MemoryRequest::read(i as u64 + 1, addr, 32, now)
                 };
-                prop_assert_eq!(soa.enqueue(req), plain.enqueue(req));
+                prop_assert!(ctrl.enqueue(req));
                 for _ in 0..=gap {
-                    done_soa.extend(soa.tick(now));
-                    done_plain.extend(plain.tick(now));
-                    assert_mask_invariants(&soa);
-                    assert_mask_invariants(&plain);
+                    done.extend(ctrl.tick(now));
+                    assert_mask_invariants(&ctrl);
                     now += 1;
                 }
             }
             // Long idle drain so refreshes fire and banks close while the
             // oracle keeps checking every mutation point.
             let mut idle = 0u32;
-            while (!soa.is_idle() || idle < 8_000) && now < 60_000 {
-                if soa.is_idle() {
+            while (!ctrl.is_idle() || idle < 8_000) && now < 60_000 {
+                if ctrl.is_idle() {
                     idle += 1;
                 }
-                done_soa.extend(soa.tick(now));
-                done_plain.extend(plain.tick(now));
-                assert_mask_invariants(&soa);
-                assert_mask_invariants(&plain);
+                done.extend(ctrl.tick(now));
+                assert_mask_invariants(&ctrl);
                 now += 1;
             }
-            prop_assert_eq!(done_soa, done_plain);
-            prop_assert_eq!(soa.stats().refreshes_issued, plain.stats().refreshes_issued);
-            prop_assert!(soa.stats().refreshes_issued > 0);
+            prop_assert_eq!(done.len(), ops.len());
+            prop_assert!(ctrl.stats().refreshes_issued > 0);
         }
     }
 }

@@ -110,24 +110,6 @@ impl BankIndexer {
     }
 }
 
-/// One arena slot: the entry plus the *oracle* scan's ready-cache bounds.
-/// This is the pre-SoA array-of-structs layout, kept so the compiled-in
-/// oracle scan (`soa: false`) exercises the original memory-access pattern:
-/// it reads and writes these fields through the position→slot indirection,
-/// while the SoA scan uses the packed `ready_at`/`act_ready_at` arrays. The
-/// two hint stores are independent memoization caches — every value written
-/// to either is a valid lower bound for the entry's lifetime, and an unset
-/// (0) hint merely costs a re-probe — so the paths need no cross-
-/// synchronization to stay bit-identical.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct ArenaSlot {
-    entry: QueueEntry,
-    /// Oracle copy of the cached column-ready bound (0 = unknown).
-    ready_at: Cycle,
-    /// Oracle copy of the cached ACT-ready bound (0 = unknown).
-    act_ready_at: Cycle,
-}
-
 /// A bounded, age-ordered request queue with CAM-style lookups, stored
 /// struct-of-arrays (see the module docs for the layout).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -164,9 +146,8 @@ pub struct RequestQueue {
     keep_open: Vec<u8>,
     /// Arena slot holding the entry's full payload.
     slot: Vec<u32>,
-    // --- Cold arena: stable-index slab of full payloads plus the oracle
-    // scan's hint fields (the pre-SoA array-of-structs layout). ---
-    arena: Vec<ArenaSlot>,
+    // --- Cold arena: stable-index slab of full payloads. ---
+    arena: Vec<QueueEntry>,
     /// Free arena slots available for reuse.
     free: Vec<u32>,
     // --- Per-bank occupancy (flat bank index). ---
@@ -195,7 +176,7 @@ pub struct RequestQueue {
     /// Maximum occupancy ever observed.
     peak_occupancy: usize,
     /// Lower bound on `act_ready_at` over the *row-relevant* entries (those
-    /// with `row_match == 0 && keep_open == 0`, the only ones the SoA row
+    /// with `row_match == 0 && keep_open == 0`, the only ones the row
     /// scan considers); 0 = unknown. While `now` lies below it no entry can
     /// be a row-scan candidate, so the scan would issue nothing and store
     /// nothing: [`RequestQueue::row_scan_idle`] lets the controller skip it.
@@ -210,7 +191,7 @@ pub struct RequestQueue {
     row_scan_floor: Cycle,
 }
 
-/// Split-borrow view over one queue's hot arrays, handed to the SoA
+/// Split-borrow view over one queue's hot arrays, handed to the
 /// scheduler scans (see [`RequestQueue::scan_view`]). The hint slices are
 /// mutable (scans memoize bounds in place); everything else is shared.
 pub struct ScanView<'a> {
@@ -246,7 +227,7 @@ pub struct EntryView<'a> {
     bank: &'a [u16],
     row: &'a [u32],
     slot: &'a [u32],
-    arena: &'a [ArenaSlot],
+    arena: &'a [QueueEntry],
     bank_count: &'a [u16],
     indexer: BankIndexer,
 }
@@ -255,7 +236,7 @@ impl EntryView<'_> {
     /// The full payload of the entry at `index` (cold arena load).
     #[inline]
     pub fn entry(&self, index: usize) -> &QueueEntry {
-        &self.arena[self.slot[index] as usize].entry
+        &self.arena[self.slot[index] as usize]
     }
 
     /// Same predicate as [`RequestQueue::has_pending_row_hit`], evaluated
@@ -345,18 +326,13 @@ impl RequestQueue {
             return false;
         }
         let flat = self.indexer.flat(entry.dram.bank);
-        let slot = ArenaSlot {
-            entry,
-            ready_at: 0,
-            act_ready_at: 0,
-        };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.arena[s as usize] = slot;
+                self.arena[s as usize] = entry;
                 s
             }
             None => {
-                self.arena.push(slot);
+                self.arena.push(entry);
                 (self.arena.len() - 1) as u32
             }
         };
@@ -458,7 +434,7 @@ impl RequestQueue {
 
     /// The entry at `index` (oldest first), if any.
     pub fn get(&self, index: usize) -> Option<&QueueEntry> {
-        self.slot.get(index).map(|&s| &self.arena[s as usize].entry)
+        self.slot.get(index).map(|&s| &self.arena[s as usize])
     }
 
     /// The cached ready bound of the entry at `index` (0 = unknown).
@@ -495,42 +471,6 @@ impl RequestQueue {
         }
     }
 
-    /// Oracle-layout copy of the ready bound for the entry at `index`,
-    /// stored inside the entry's arena slot (0 = unknown). Used only by the
-    /// compiled-in oracle scan; independent of the packed-array hints (see
-    /// the docs on the private `ArenaSlot` type).
-    #[inline]
-    pub fn ready_hint_oracle(&self, index: usize) -> Cycle {
-        self.slot
-            .get(index)
-            .map_or(0, |&s| self.arena[s as usize].ready_at)
-    }
-
-    /// Cache a ready bound in the oracle (arena-slot) hint store.
-    #[inline]
-    pub fn set_ready_hint_oracle(&mut self, index: usize, at: Cycle) {
-        if let Some(&s) = self.slot.get(index) {
-            self.arena[s as usize].ready_at = at;
-        }
-    }
-
-    /// Oracle-layout copy of the ACT-ready bound for the entry at `index`
-    /// (see [`RequestQueue::ready_hint_oracle`]).
-    #[inline]
-    pub fn act_ready_hint_oracle(&self, index: usize) -> Cycle {
-        self.slot
-            .get(index)
-            .map_or(0, |&s| self.arena[s as usize].act_ready_at)
-    }
-
-    /// Cache an ACT-ready bound in the oracle (arena-slot) hint store.
-    #[inline]
-    pub fn set_act_ready_hint_oracle(&mut self, index: usize, at: Cycle) {
-        if let Some(&s) = self.slot.get(index) {
-            self.arena[s as usize].act_ready_at = at;
-        }
-    }
-
     /// The flat bank index of the entry at `index` (hot array; no arena
     /// load). The index must be in bounds.
     #[inline]
@@ -547,21 +487,19 @@ impl RequestQueue {
 
     /// Iterate over the entries from oldest to youngest.
     pub fn iter(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.slot
-            .iter()
-            .map(move |&s| &self.arena[s as usize].entry)
+        self.slot.iter().map(move |&s| &self.arena[s as usize])
     }
 
     /// The oldest entry, if any.
     pub fn oldest(&self) -> Option<&QueueEntry> {
-        self.slot.first().map(|&s| &self.arena[s as usize].entry)
+        self.slot.first().map(|&s| &self.arena[s as usize])
     }
 
     /// Find the oldest entry matching `pred` and return its position.
     pub fn find_oldest<F: Fn(&QueueEntry) -> bool>(&self, pred: F) -> Option<usize> {
         self.slot
             .iter()
-            .position(|&s| pred(&self.arena[s as usize].entry))
+            .position(|&s| pred(&self.arena[s as usize]))
     }
 
     /// Remove and return the entry at `index` (as returned by
@@ -595,7 +533,7 @@ impl RequestQueue {
             self.pending_mask[flat >> 6] &= !(1 << (flat & 63));
         }
         self.free.push(slot);
-        Some(self.arena[slot as usize].entry)
+        Some(self.arena[slot as usize])
     }
 
     /// Whether any queued entry targets the same bank and row as `addr`
@@ -612,7 +550,7 @@ impl RequestQueue {
     }
 
     /// The earliest cached column-ready bound later than `now` over all
-    /// entries (`Cycle::MAX` if none). After a two-phase SoA column scan
+    /// entries (`Cycle::MAX` if none). After a two-phase column scan
     /// that found nothing issuable, this is the scan's wakeup hint.
     pub(crate) fn earliest_column_ready_after(&self, now: Cycle) -> Cycle {
         self.ready_at.iter().fold(Cycle::MAX, |m, &at| {
@@ -623,7 +561,7 @@ impl RequestQueue {
     /// The earliest cached row-command park bound (`act_ready_at`) later
     /// than `now` over the entries that need a row command: not a row hit
     /// and not pinned open by the adaptive page policy (`Cycle::MAX` if
-    /// none). After an SoA row scan that found nothing issuable, this is
+    /// none). After a row scan that found nothing issuable, this is
     /// the scan's wakeup hint.
     pub(crate) fn earliest_row_park_after(&self, now: Cycle) -> Cycle {
         let n = self.slot.len();
@@ -644,7 +582,7 @@ impl RequestQueue {
         min
     }
 
-    /// Whether the SoA row scan at `now` has no candidate: every
+    /// Whether the row scan at `now` has no candidate: every
     /// row-relevant entry is parked past `now` (see the `row_scan_floor`
     /// field). Such a scan would issue nothing and store nothing, so the
     /// caller may skip it; its wakeup hint, read back from the stored
@@ -654,7 +592,7 @@ impl RequestQueue {
         now < self.row_scan_floor
     }
 
-    /// Record that an SoA row scan at `now` found no action: the floor
+    /// Record that a row scan at `now` found no action: the floor
     /// becomes the least `act_ready_at` over the row-relevant entries
     /// (`Cycle::MAX` if there are none), or 0 if some relevant entry is
     /// still due at `now` (a refresh-reserved bank's).
@@ -906,7 +844,7 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
         /// Random sequences of every queue mutation, interleaved with a
-        /// model of the SoA row scan (park each due row-relevant entry past
+        /// model of the row scan (park each due row-relevant entry past
         /// `now`, sometimes leaving one due as a refresh-reserved bank
         /// does, then record the idle scan): after every step a known
         /// row-scan floor must lower-bound every row-relevant entry's

@@ -8,8 +8,7 @@
 //! loop instantiated for the conventional controller. See the engine module
 //! for the event-driven contract and the equivalence guarantees; the
 //! regression suite in `tests/event_driven_equivalence.rs` pins bit-identical
-//! [`SimulationReport`]s between the event-driven and cycle-stepped drivers
-//! (with the FR-FCFS ready cache both on and off).
+//! [`SimulationReport`]s between the event-driven and cycle-stepped drivers.
 
 pub use rome_engine::simulate::{
     run_to_completion, run_with_budget, run_with_limit, run_with_limit_stepped, run_with_source,
@@ -113,19 +112,5 @@ mod tests {
             ticks,
             [18_919, 20_608, 12_349, 11_587, 10_996, 9_459, 8_929, 8_530]
         );
-    }
-
-    #[test]
-    fn ready_cache_does_not_change_reports() {
-        let reqs = workload::read_write_mix(0, 16 * 1024, 32, 4);
-        let mut with_cache = ChannelController::new(ControllerConfig::hbm4_baseline());
-        let mut without = {
-            let mut cfg = ControllerConfig::hbm4_baseline();
-            cfg.ready_cache = false;
-            ChannelController::new(cfg)
-        };
-        let cached = run_with_limit(&mut with_cache, reqs.clone(), 1_000_000);
-        let plain = run_with_limit(&mut without, reqs, 1_000_000);
-        assert_eq!(cached, plain);
     }
 }

@@ -72,16 +72,20 @@ fn recording_never_perturbs_the_result() {
     let engine = ScenarioEngine::new();
     let spec = queue_depth_spec("bit");
     let plain = engine.serve(&spec).expect("plain serve succeeds");
-    let (recorded, _, buffer) = engine.serve_recorded(&spec, TraceLevel::Commands);
-    let recorded = recorded.expect("recorded serve succeeds");
-    // The recorder is a pure observation: the payload is bit-identical to
-    // the unrecorded serve of the same spec, byte-for-byte on the wire.
-    assert_eq!(plain, recorded);
-    assert!(!buffer.events.is_empty());
     let render = |r: &rome_server::spec::ScenarioResult| {
         rome_server::proto::render_response(Some(1), &spec, &Ok(r.clone()))
     };
-    assert_eq!(render(&plain), render(&recorded));
+    // The recorder is a pure observation: the payload is bit-identical to
+    // the unrecorded serve of the same spec, byte-for-byte on the wire,
+    // whether it is plumbed through but disarmed (`Off`) or records every
+    // command.
+    for level in [TraceLevel::Off, TraceLevel::Commands] {
+        let (recorded, _, buffer) = engine.serve_recorded(&spec, level);
+        let recorded = recorded.expect("recorded serve succeeds");
+        assert_eq!(plain, recorded, "{level:?}");
+        assert_eq!(buffer.events.is_empty(), level == TraceLevel::Off);
+        assert_eq!(render(&plain), render(&recorded));
+    }
 }
 
 #[test]

@@ -441,29 +441,20 @@ mod tests {
         // A controller inside a multi-channel system holds entries tagged
         // with its global channel id. Whether a due per-bank refresh is
         // postponed for pending work — or a row kept open for a pending hit
-        // — must not depend on that tag, in the SoA scans or in the oracle
-        // scans' CAM walk.
-        let run = |channel: u16, soa: bool| {
-            let mut config = ControllerConfig::hbm4_baseline();
-            config.soa = soa;
+        // — must not depend on that tag.
+        let run = |channel: u16| {
             let mut tagged = TaggedChannel {
-                ctrl: ChannelController::new(config),
+                ctrl: ChannelController::new(ControllerConfig::hbm4_baseline()),
                 channel,
             };
             let report = mc_simulate::run_to_completion(&mut tagged, hbm4_calibration_trace());
             (report, tagged.ctrl.stats().clone())
         };
-        let [soa_report, oracle_report] = [true, false].map(|soa| {
-            let (report0, stats0) = run(0, soa);
-            let (report5, stats5) = run(5, soa);
-            assert_eq!(report0, report5, "soa {soa}");
-            assert_eq!(stats0, stats5, "soa {soa}");
-            assert!(stats0.refreshes_issued > 0);
-            report0
-        });
-        // The oracle's wakeup hints may visit other idle ticks, but its
-        // schedule is the same.
-        assert_eq!(soa_report, oracle_report);
+        let (report0, stats0) = run(0);
+        let (report5, stats5) = run(5);
+        assert_eq!(report0, report5);
+        assert_eq!(stats0, stats5);
+        assert!(stats0.refreshes_issued > 0);
     }
 
     #[test]

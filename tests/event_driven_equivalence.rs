@@ -9,22 +9,23 @@
 //! (`rome::engine::simulate::run_with_limit`), instantiated per controller
 //! via the `MemoryController` trait.
 //!
-//! The conventional comparisons additionally pin the FR-FCFS *ready cache*
-//! and the *data-oriented (SoA) scans*: the stepped baseline runs with the
-//! cache and the SoA path disabled (the original per-entry scheduler) while
-//! the event-driven run keeps both enabled, so any cached bound or packed
-//! bitmask test that changed a single scheduling decision would surface as
-//! a report mismatch here. A further arm re-runs the event-driven driver
-//! with SoA off to pin that the oracle scan is inert under the fast driver
-//! too.
-//!
-//! The multi-channel comparisons likewise pin the *event calendar*: the
-//! cycle-stepped baseline system runs with the calendar disabled (the
-//! pre-calendar loop that re-polls every controller and scans the whole
-//! backlog) while the event-driven system keeps it enabled (cached
-//! per-channel wakeups, lazy min-heap, skipped non-due channels), so a
-//! wakeup cached one cycle too late — a missed event — would surface as a
-//! completion mismatch here.
+//! The stepped baselines run the same scheduler scans and the same
+//! multi-channel event calendar as the event-driven runs; those have their
+//! own from-scratch references inside their crates' test builds (every
+//! scheduling decision of both controllers is checked against a test-only
+//! walk of the queue, and every calendar step against a from-scratch
+//! recompute and a stepped system that ticks every channel every cycle).
+//! What this suite pins is the driver: jumping between the reported events
+//! must execute exactly the schedule of visiting every cycle. The
+//! single-controller stepped driver ticks the controller on every cycle, so
+//! a controller wakeup reported one cycle too late — a missed event —
+//! surfaces here as a report mismatch. The system-level stepped baselines
+//! advance the global clock every cycle through the same calendar, so they
+//! pin the system's own `next_event_at` (admission probe and heap minimum);
+//! the per-channel cached wakeups are pinned in `rome-engine` against its
+//! stepped reference. Dense 64-entry queues and deep multi-channel backlogs
+//! are among the inputs, because they are where the scans park the most
+//! entries on stored bounds.
 
 use rome::core::controller::{RomeController, RomeControllerConfig};
 use rome::core::simulate as rome_simulate;
@@ -65,40 +66,11 @@ fn assert_mc_equivalent(
     max_ns: u64,
     label: &str,
 ) {
-    // Event-driven with the ready cache and SoA scans (the default
-    // configuration)…
-    let mut cached_cfg = cfg.clone();
-    cached_cfg.ready_cache = true;
-    cached_cfg.soa = true;
-    let mut event = ChannelController::new(cached_cfg.clone());
-    // …against the cycle-stepped loop with both disabled: the original
-    // per-entry scheduler, re-evaluating every candidate every tick.
-    let mut plain_cfg = cfg;
-    plain_cfg.ready_cache = false;
-    plain_cfg.soa = false;
-    let mut stepped = ChannelController::new(plain_cfg.clone());
-    let mut event_plain = ChannelController::new(plain_cfg);
-    // …and the event-driven driver with only SoA off (ready cache on): the
-    // oracle scan under the fast driver.
-    let mut soa_off_cfg = cached_cfg;
-    soa_off_cfg.soa = false;
-    let mut event_soa_off = ChannelController::new(soa_off_cfg);
-
+    let mut event = ChannelController::new(cfg.clone());
+    let mut stepped = ChannelController::new(cfg);
     let fast = mc_simulate::run_with_limit(&mut event, requests.clone(), max_ns);
-    let slow = mc_simulate::run_with_limit_stepped(&mut stepped, requests.clone(), max_ns);
+    let slow = mc_simulate::run_with_limit_stepped(&mut stepped, requests, max_ns);
     assert_eq!(fast, slow, "hbm4 reports diverged on {label}");
-    // The cache and SoA scans must also be inert under the event-driven
-    // driver alone.
-    let fast_plain = mc_simulate::run_with_limit(&mut event_plain, requests.clone(), max_ns);
-    assert_eq!(
-        fast, fast_plain,
-        "ready cache / SoA changed the hbm4 schedule on {label}"
-    );
-    let fast_soa_off = mc_simulate::run_with_limit(&mut event_soa_off, requests, max_ns);
-    assert_eq!(
-        fast, fast_soa_off,
-        "SoA scan changed the hbm4 schedule on {label}"
-    );
 }
 
 fn assert_rome_equivalent(
@@ -108,20 +80,10 @@ fn assert_rome_equivalent(
     label: &str,
 ) {
     let mut event = RomeController::new(cfg.clone());
-    let mut stepped = RomeController::new(cfg.clone());
-    // The stepped baseline also disables the packed hot arrays: the
-    // original per-entry ready scan.
-    stepped.set_soa(false);
-    let mut event_soa_off = RomeController::new(cfg);
-    event_soa_off.set_soa(false);
+    let mut stepped = RomeController::new(cfg);
     let fast = rome_simulate::run_with_limit(&mut event, requests.clone(), max_ns);
-    let slow = rome_simulate::run_with_limit_stepped(&mut stepped, requests.clone(), max_ns);
+    let slow = rome_simulate::run_with_limit_stepped(&mut stepped, requests, max_ns);
     assert_eq!(fast, slow, "rome reports diverged on {label}");
-    let fast_soa_off = rome_simulate::run_with_limit(&mut event_soa_off, requests, max_ns);
-    assert_eq!(
-        fast, fast_soa_off,
-        "SoA scan changed the rome schedule on {label}"
-    );
 }
 
 #[test]
@@ -142,6 +104,40 @@ fn hbm4_reports_are_bit_identical_across_queue_depths() {
                 &format!("{label}@depth{depth}"),
             );
         }
+    }
+}
+
+#[test]
+fn ready_cache_is_inert_on_the_dense_64_entry_queue() {
+    // The ready cache's target workload: a 64-entry queue kept saturated, so
+    // every tick sees tens of timing-blocked candidates parked on stored
+    // bounds. What the cache holds depends on which cycles were visited;
+    // the stepped run visits every cycle and the event-driven run only the
+    // reported events, so a stored bound that changed a decision or went
+    // stale across skipped cycles would split the two reports.
+    for (label, reqs) in workloads(64 * 1024, 32) {
+        assert_mc_equivalent(
+            ControllerConfig::hbm4_with_queue_depth(64),
+            reqs,
+            50_000_000,
+            &format!("{label}@dense64"),
+        );
+    }
+}
+
+#[test]
+fn soa_scan_is_bit_identical_on_the_dense_64_entry_queue() {
+    // The packed (SoA) scan's target workload: a 64-entry queue kept
+    // saturated on a larger backlog than the ready-cache case above, so
+    // every tick scans tens of candidates through the packed arrays and the
+    // row-open bitmask.
+    for (label, reqs) in workloads(128 * 1024, 32) {
+        assert_mc_equivalent(
+            ControllerConfig::hbm4_with_queue_depth(64),
+            reqs,
+            50_000_000,
+            &format!("{label}@soa-dense64"),
+        );
     }
 }
 
@@ -221,80 +217,6 @@ fn generic_engine_driver_runs_both_stacks() {
     }
 }
 
-#[test]
-fn ready_cache_is_inert_on_the_dense_64_entry_queue() {
-    // The ready cache's target workload: a 64-entry queue kept saturated, so
-    // the scan sees tens of timing-blocked candidates every tick. Stepped
-    // (cache off) and event-driven (cache on) must still agree bit for bit.
-    for (label, reqs) in workloads(64 * 1024, 32) {
-        assert_mc_equivalent(
-            ControllerConfig::hbm4_with_queue_depth(64),
-            reqs,
-            50_000_000,
-            &format!("{label}@dense64"),
-        );
-    }
-}
-
-#[test]
-fn soa_scan_is_bit_identical_on_the_dense_64_entry_queue() {
-    // The SoA path's target workload: a 64-entry queue kept saturated, so
-    // every tick scans tens of candidates through the packed arrays and the
-    // row-open bitmask. All four arms of assert_mc_equivalent (SoA+cache on,
-    // stepped both-off, event both-off, event SoA-off) must agree bit for
-    // bit on a larger backlog than the ready-cache case above.
-    for (label, reqs) in workloads(128 * 1024, 32) {
-        assert_mc_equivalent(
-            ControllerConfig::hbm4_with_queue_depth(64),
-            reqs,
-            50_000_000,
-            &format!("{label}@soa-dense64"),
-        );
-    }
-}
-
-#[test]
-fn soa_scan_is_bit_identical_on_dense_multi_channel_backlogs() {
-    // System-level SoA pinning under saturation: deep per-channel queues and
-    // a long single-channel backlog, event calendar on in both arms so the
-    // only difference is the scan representation.
-    let mut cfg = MemorySystemConfig::hbm4(4);
-    cfg.controller.read_queue_capacity = 64;
-    cfg.controller.write_queue_capacity = 64;
-    let mut soa_on = MemorySystem::new(cfg.clone());
-    let mut soa_off = MemorySystem::new(cfg);
-    soa_off.set_soa(false);
-    for i in 0..512u64 {
-        // Stride of one cache line: every channel sees a dense stream.
-        let r = if i % 5 == 0 {
-            MemoryRequest::write(i + 1, i * 32, 32, 0)
-        } else {
-            MemoryRequest::read(i + 1, i * 32, 32, 0)
-        };
-        soa_on.submit(r);
-        soa_off.submit(r);
-    }
-
-    let drive = |sys: &mut MemorySystem| {
-        let mut done: Vec<HostCompletion> = Vec::new();
-        let mut now = 0u64;
-        while !sys.is_idle() && now < 5_000_000 {
-            let issued = sys.tick_into(now, &mut done);
-            now = if issued {
-                now + 1
-            } else {
-                sys.next_event_at(now).map_or(now + 1, |t| t.max(now + 1))
-            };
-        }
-        done
-    };
-    let done_on = drive(&mut soa_on);
-    let done_off = drive(&mut soa_off);
-    assert_eq!(done_on, done_off);
-    assert_eq!(done_on.len(), 512);
-    assert_eq!(soa_on.bytes_per_channel(), soa_off.bytes_per_channel());
-}
-
 /// Host-request mix used for the multi-channel system tests: several
 /// concurrent transfers of both kinds.
 fn host_requests() -> Vec<MemoryRequest> {
@@ -322,75 +244,128 @@ fn small_rome_system() -> RomeMemorySystem {
     RomeMemorySystem::new(cfg)
 }
 
+/// The surface of the two multi-channel memory systems the drivers below
+/// need.
+trait System {
+    fn submit(&mut self, request: MemoryRequest);
+    fn is_idle(&self) -> bool;
+    fn tick_into(&mut self, now: u64, done: &mut Vec<HostCompletion>) -> bool;
+    fn next_event_at(&mut self, now: u64) -> Option<u64>;
+    fn bytes_per_channel(&self) -> Vec<u64>;
+}
+
+macro_rules! impl_system {
+    ($ty:ty) => {
+        impl System for $ty {
+            fn submit(&mut self, request: MemoryRequest) {
+                <$ty>::submit(self, request);
+            }
+            fn is_idle(&self) -> bool {
+                <$ty>::is_idle(self)
+            }
+            fn tick_into(&mut self, now: u64, done: &mut Vec<HostCompletion>) -> bool {
+                <$ty>::tick_into(self, now, done)
+            }
+            fn next_event_at(&mut self, now: u64) -> Option<u64> {
+                <$ty>::next_event_at(self, now)
+            }
+            fn bytes_per_channel(&self) -> Vec<u64> {
+                <$ty>::bytes_per_channel(self)
+            }
+        }
+    };
+}
+impl_system!(MemorySystem);
+impl_system!(RomeMemorySystem);
+
+/// Drive `sys` one cycle at a time until idle (the stepped baseline).
+fn run_stepped(sys: &mut impl System) -> Vec<HostCompletion> {
+    let mut done = Vec::new();
+    let mut now = 0u64;
+    while !sys.is_idle() && now < 5_000_000 {
+        sys.tick_into(now, &mut done);
+        now += 1;
+    }
+    done
+}
+
+/// Drive `sys` through `tick_into` + `next_event_at`, skipping the cycles
+/// the calendar reports as idle.
+fn run_event(sys: &mut impl System) -> Vec<HostCompletion> {
+    let mut done = Vec::new();
+    let mut now = 0u64;
+    while !sys.is_idle() && now < 5_000_000 {
+        let issued = sys.tick_into(now, &mut done);
+        now = if issued {
+            now + 1
+        } else {
+            sys.next_event_at(now).map_or(now + 1, |t| t.max(now + 1))
+        };
+    }
+    done
+}
+
+/// Submit `requests` to two fresh systems, run one stepped and one
+/// event-driven, and require identical completions and per-channel bytes.
+/// Returns the event-driven system for further checks.
+fn assert_system_equivalent<S: System>(make: impl Fn() -> S, requests: &[MemoryRequest]) -> S {
+    let mut stepped = make();
+    let mut event = make();
+    for &r in requests {
+        stepped.submit(r);
+        event.submit(r);
+    }
+    let done_stepped = run_stepped(&mut stepped);
+    let done_event = run_event(&mut event);
+    assert_eq!(done_event, done_stepped);
+    assert_eq!(done_event.len(), requests.len(), "every request completes");
+    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+    event
+}
+
+/// Deep (64-entry) per-channel queues on a saturated multi-channel system.
+fn dense_mc_system(channels: u16) -> MemorySystem {
+    let mut cfg = MemorySystemConfig::hbm4(channels);
+    cfg.controller.read_queue_capacity = 64;
+    cfg.controller.write_queue_capacity = 64;
+    MemorySystem::new(cfg)
+}
+
 #[test]
 fn mc_system_event_stepping_is_bit_identical_to_per_cycle_ticks() {
     // Driving the system through tick_into + next_event_at is the same
     // global scheduler, merely skipping provably idle cycles — completions
-    // must match the per-cycle tick() loop exactly. The stepped baseline
-    // disables the event calendar (the pre-calendar loop); the event-driven
-    // run keeps it on, so stale cached wakeups would surface here.
-    let mut stepped = small_mc_system();
-    stepped.set_calendar(false);
-    stepped.set_soa(false);
-    let mut event = small_mc_system();
-    for r in host_requests() {
-        stepped.submit(r);
-        event.submit(r);
-    }
+    // must match the per-cycle loop exactly, so a system wakeup (admission
+    // probe or heap minimum) one cycle too late would surface here.
+    assert_system_equivalent(small_mc_system, &host_requests());
+}
 
-    let mut done_stepped = Vec::new();
-    let mut now = 0u64;
-    while !stepped.is_idle() && now < 5_000_000 {
-        done_stepped.extend(stepped.tick(now));
-        now += 1;
-    }
-
-    let mut done_event: Vec<HostCompletion> = Vec::new();
-    let mut now = 0u64;
-    while !event.is_idle() && now < 5_000_000 {
-        let issued = event.tick_into(now, &mut done_event);
-        now = if issued {
-            now + 1
-        } else {
-            event.next_event_at(now).map_or(now + 1, |t| t.max(now + 1))
-        };
-    }
-
-    assert_eq!(done_event, done_stepped);
-    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+#[test]
+fn soa_scan_is_bit_identical_on_dense_multi_channel_backlogs() {
+    // System-level pinning of the packed (SoA) scan under saturation: deep
+    // per-channel queues behind a one-line-stride read/write mix over 4
+    // channels, and one streaming read split over 32 channels. Every
+    // channel parks tens of entries on stored bounds, and the event-driven
+    // run skips the cycles the stepped run visits.
+    let dense_mix: Vec<MemoryRequest> = (0..512u64)
+        .map(|i| {
+            if i % 5 == 0 {
+                MemoryRequest::write(i + 1, i * 32, 32, 0)
+            } else {
+                MemoryRequest::read(i + 1, i * 32, 32, 0)
+            }
+        })
+        .collect();
+    assert_system_equivalent(|| dense_mc_system(4), &dense_mix);
+    assert_system_equivalent(
+        || dense_mc_system(32),
+        &[MemoryRequest::read(1, 0, 512 * 1024, 0)],
+    );
 }
 
 #[test]
 fn rome_system_event_stepping_is_bit_identical_to_per_cycle_ticks() {
-    let mut stepped = small_rome_system();
-    stepped.set_calendar(false);
-    stepped.set_soa(false);
-    let mut event = small_rome_system();
-    for r in host_requests() {
-        stepped.submit(r);
-        event.submit(r);
-    }
-
-    let mut done_stepped = Vec::new();
-    let mut now = 0u64;
-    while !stepped.is_idle() && now < 5_000_000 {
-        done_stepped.extend(stepped.tick(now));
-        now += 1;
-    }
-
-    let mut done_event: Vec<HostCompletion> = Vec::new();
-    let mut now = 0u64;
-    while !event.is_idle() && now < 5_000_000 {
-        let issued = event.tick_into(now, &mut done_event);
-        now = if issued {
-            now + 1
-        } else {
-            event.next_event_at(now).map_or(now + 1, |t| t.max(now + 1))
-        };
-    }
-
-    assert_eq!(done_event, done_stepped);
-    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+    assert_system_equivalent(small_rome_system, &host_requests());
 }
 
 #[test]
@@ -398,38 +373,11 @@ fn long_single_channel_backlog_stays_equivalent() {
     // Every fragment lands on the same channel (stride = channels ×
     // granularity) behind a 2-entry queue, so hundreds of fragments wait in
     // a single channel's backlog — the admission-probe case that used to
-    // degenerate to O(backlog) per event step. The calendar run must still
-    // match the pre-calendar stepped loop completion for completion.
-    let mut stepped = small_mc_system();
-    stepped.set_calendar(false);
-    stepped.set_soa(false);
-    let mut event = small_mc_system();
-    for i in 0..256u64 {
-        let r = MemoryRequest::read(i + 1, i * 4 * 32, 32, 0);
-        stepped.submit(r);
-        event.submit(r);
-    }
-
-    let mut done_stepped = Vec::new();
-    let mut now = 0u64;
-    while !stepped.is_idle() && now < 5_000_000 {
-        done_stepped.extend(stepped.tick(now));
-        now += 1;
-    }
-
-    let mut done_event: Vec<HostCompletion> = Vec::new();
-    let mut now = 0u64;
-    while !event.is_idle() && now < 5_000_000 {
-        let issued = event.tick_into(now, &mut done_event);
-        now = if issued {
-            now + 1
-        } else {
-            event.next_event_at(now).map_or(now + 1, |t| t.max(now + 1))
-        };
-    }
-
-    assert_eq!(done_event, done_stepped);
-    assert_eq!(event.bytes_per_channel(), stepped.bytes_per_channel());
+    // degenerate to O(backlog) per event step.
+    let requests: Vec<MemoryRequest> = (0..256u64)
+        .map(|i| MemoryRequest::read(i + 1, i * 4 * 32, 32, 0))
+        .collect();
+    let event = assert_system_equivalent(small_mc_system, &requests);
     // The workload really was single-channel: exactly one channel moved data.
     assert_eq!(
         event.bytes_per_channel().iter().filter(|&&b| b > 0).count(),
@@ -443,20 +391,13 @@ fn mc_system_run_until_idle_preserves_totals_vs_per_cycle_ticks() {
     // so its schedule legitimately differs from the tick() path in arrival
     // order; every total must nevertheless agree.
     let mut ticked = small_mc_system();
-    ticked.set_calendar(false);
-    ticked.set_soa(false);
     let mut parallel = small_mc_system();
     for r in host_requests() {
         ticked.submit(r);
         parallel.submit(r);
     }
 
-    let mut done_ticked = Vec::new();
-    let mut now = 0u64;
-    while !ticked.is_idle() && now < 5_000_000 {
-        done_ticked.extend(ticked.tick(now));
-        now += 1;
-    }
+    let done_ticked = run_stepped(&mut ticked);
     let (done_parallel, stop) = parallel.run_until_idle(5_000_000);
 
     assert!(stop > 0);
@@ -474,20 +415,13 @@ fn mc_system_run_until_idle_preserves_totals_vs_per_cycle_ticks() {
 #[test]
 fn rome_system_run_until_idle_preserves_totals_vs_per_cycle_ticks() {
     let mut ticked = small_rome_system();
-    ticked.set_calendar(false);
-    ticked.set_soa(false);
     let mut parallel = small_rome_system();
     for r in host_requests() {
         ticked.submit(r);
         parallel.submit(r);
     }
 
-    let mut done_ticked = Vec::new();
-    let mut now = 0u64;
-    while !ticked.is_idle() && now < 5_000_000 {
-        done_ticked.extend(ticked.tick(now));
-        now += 1;
-    }
+    let done_ticked = run_stepped(&mut ticked);
     let (done_parallel, stop) = parallel.run_until_idle(5_000_000);
 
     assert!(stop > 0);

@@ -333,14 +333,21 @@ fn drained_batches_are_counted_per_spec() {
 #[test]
 fn fault_free_runs_are_bit_identical_with_the_harness_compiled_in() {
     // Engine level: the budgeted entry point with an unlimited budget must
-    // be bit-identical to the legacy one (same loop body, no tag).
+    // be bit-identical to the legacy one (same loop body, no tag), and so
+    // must an armed budget that never trips — a wall-clock deadline an
+    // hour out, probed periodically, and an event ceiling no run reaches.
     let reqs = rome::mc::workload::streaming_reads(0, 1 << 18, 256);
     let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
     let legacy = run_with_limit(&mut ctrl, reqs.clone(), 50_000_000);
-    let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
-    let budgeted = run_with_budget(&mut ctrl, reqs, 50_000_000, &RunBudget::unlimited());
-    assert_eq!(legacy, budgeted);
-    assert_eq!(budgeted.aborted, None);
+    let armed = RunBudget::default()
+        .with_wall_clock(std::time::Duration::from_secs(3600))
+        .with_max_events(u64::MAX);
+    for budget in [RunBudget::unlimited(), armed] {
+        let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
+        let budgeted = run_with_budget(&mut ctrl, reqs.clone(), 50_000_000, &budget);
+        assert_eq!(legacy, budgeted);
+        assert_eq!(budgeted.aborted, None);
+    }
 
     // Serving level: a default engine and one with every limit explicitly
     // set to its permissive default render byte-identical JSONL.

@@ -196,7 +196,7 @@ fn closed_loop_host_respects_its_window_and_drains() {
 
 #[test]
 fn wider_closed_loop_windows_do_not_lose_bandwidth() {
-    let run = |window| {
+    let run = |window, rome: bool| {
         let cfg = MoeRoutingConfig {
             experts: 8,
             top_k: 2,
@@ -211,17 +211,26 @@ fn wider_closed_loop_windows_do_not_lose_bandwidth() {
             seed: 11,
         };
         let mut host = ClosedLoopHost::new(MoeRoutingSource::new(cfg), window);
-        let mut sys = MemorySystem::new(MemorySystemConfig::hbm4(4));
-        sys.run_with_source(&mut host, 50_000_000);
+        if rome {
+            let mut sys = RomeMemorySystem::new(RomeSystemConfig::with_channels(4));
+            sys.run_with_source(&mut host, 50_000_000);
+        } else {
+            let mut sys = MemorySystem::new(MemorySystemConfig::hbm4(4));
+            sys.run_with_source(&mut host, 50_000_000);
+        }
         (host.achieved_gbps(), host.mean_latency_ns())
     };
-    let (bw1, lat1) = run(1);
-    let (bw16, lat16) = run(16);
-    assert!(
-        bw16 > bw1,
-        "closed-loop bandwidth must grow: {bw1} -> {bw16}"
-    );
-    assert!(lat1 > 0.0 && lat16 > 0.0);
+    for rome in [false, true] {
+        let (bw1, lat1) = run(1, rome);
+        let (bw16, lat16) = run(16, rome);
+        assert!(
+            bw16 > bw1,
+            "closed-loop bandwidth must grow (rome {rome}): {bw1} -> {bw16}"
+        );
+        assert!(lat1 > 0.0 && lat16 > 0.0);
+        // The whole closed loop is seed-deterministic.
+        assert_eq!(run(16, rome), (bw16, lat16));
+    }
 }
 
 #[test]
