@@ -32,7 +32,7 @@ use rome_hbm::address::{BankAddress, DramAddress};
 use rome_hbm::organization::Organization;
 use rome_hbm::units::Cycle;
 
-use crate::request::{MemoryRequest, RequestKind};
+use crate::request::MemoryRequest;
 
 /// An entry in the request queue: the request plus its decoded DRAM address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,7 +185,7 @@ pub struct RequestQueue {
     /// row-relevant or a relevant entry's bound can drop: `push` of a
     /// relevant entry, `note_pre` on a bank with entries, `remove` of a
     /// bank's last open-row hit (which clears `keep_open`), and
-    /// `set_act_ready_hint`. `note_act` only removes relevance (an ACT
+    /// the test-only `set_act_ready_hint`. `note_act` only removes relevance (an ACT
     /// needs a closed bank), and the scans only raise the bounds they store
     /// (each from at most `now` to past it), so neither needs a reset.
     row_scan_floor: Cycle,
@@ -239,9 +239,10 @@ impl EntryView<'_> {
         &self.arena[self.slot[index] as usize]
     }
 
-    /// Same predicate as [`RequestQueue::has_pending_row_hit`], evaluated
-    /// branchlessly (an OR-fold over the packed arrays instead of an
-    /// early-exit `any`), which lets the compiler vectorize the walk — the
+    /// Whether any queued entry targets the same bank and row as `addr`
+    /// (used by the adaptive page policy to decide whether to keep a row
+    /// open), evaluated branchlessly (an OR-fold over the packed arrays
+    /// instead of an early-exit `any`), which lets the compiler vectorize the walk — the
     /// common answer in a dense scan is "no hit", which costs a full walk
     /// either way.
     #[inline]
@@ -438,8 +439,8 @@ impl RequestQueue {
     }
 
     /// The cached ready bound of the entry at `index` (0 = unknown).
-    #[inline]
-    pub fn ready_hint(&self, index: usize) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn ready_hint(&self, index: usize) -> Cycle {
         self.ready_at.get(index).copied().unwrap_or(0)
     }
 
@@ -447,24 +448,24 @@ impl RequestQueue {
     /// `index`. The bound must remain valid for the lifetime of the entry
     /// (DRAM timing constraints are monotone, so any bound read from the
     /// constraint engine qualifies).
-    #[inline]
-    pub fn set_ready_hint(&mut self, index: usize, at: Cycle) {
+    #[cfg(test)]
+    pub(crate) fn set_ready_hint(&mut self, index: usize, at: Cycle) {
         if let Some(r) = self.ready_at.get_mut(index) {
             *r = at;
         }
     }
 
     /// The cached ACT-ready bound of the entry at `index` (0 = unknown).
-    #[inline]
-    pub fn act_ready_hint(&self, index: usize) -> Cycle {
+    #[cfg(test)]
+    pub(crate) fn act_ready_hint(&self, index: usize) -> Cycle {
         self.act_ready_at.get(index).copied().unwrap_or(0)
     }
 
     /// Cache a lower bound on the earliest ACT issue cycle for the entry at
     /// `index` (see [`RequestQueue::set_ready_hint`] for the validity
     /// argument).
-    #[inline]
-    pub fn set_act_ready_hint(&mut self, index: usize, at: Cycle) {
+    #[cfg(test)]
+    pub(crate) fn set_act_ready_hint(&mut self, index: usize, at: Cycle) {
         if let Some(r) = self.act_ready_at.get_mut(index) {
             *r = at;
             self.row_scan_floor = 0;
@@ -473,15 +474,15 @@ impl RequestQueue {
 
     /// The flat bank index of the entry at `index` (hot array; no arena
     /// load). The index must be in bounds.
-    #[inline]
-    pub fn bank_at(&self, index: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bank_at(&self, index: usize) -> usize {
         self.bank[index] as usize
     }
 
     /// The target row of the entry at `index` (hot array; no arena load).
     /// The index must be in bounds.
-    #[inline]
-    pub fn row_at(&self, index: usize) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn row_at(&self, index: usize) -> u32 {
         self.row[index]
     }
 
@@ -496,14 +497,14 @@ impl RequestQueue {
     }
 
     /// Find the oldest entry matching `pred` and return its position.
-    pub fn find_oldest<F: Fn(&QueueEntry) -> bool>(&self, pred: F) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn find_oldest<F: Fn(&QueueEntry) -> bool>(&self, pred: F) -> Option<usize> {
         self.slot
             .iter()
             .position(|&s| pred(&self.arena[s as usize]))
     }
 
-    /// Remove and return the entry at `index` (as returned by
-    /// [`RequestQueue::find_oldest`]). Shifts the hot arrays; the payload
+    /// Remove and return the entry at `index` (oldest first). Shifts the hot arrays; the payload
     /// stays put and its arena slot is recycled.
     pub fn remove(&mut self, index: usize) -> Option<QueueEntry> {
         if index >= self.slot.len() {
@@ -540,7 +541,8 @@ impl RequestQueue {
     /// (used by the adaptive page policy to decide whether to keep a row
     /// open). One mask-word test answers the common negative case; only a
     /// non-empty bank walks the packed arrays.
-    pub fn has_pending_row_hit(&self, addr: DramAddress) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_pending_row_hit(&self, addr: DramAddress) -> bool {
         let flat = self.indexer.flat(addr.bank);
         if self.bank_count[flat] == 0 {
             return false;
@@ -707,7 +709,8 @@ impl RequestQueue {
     }
 
     /// Count entries of the given kind.
-    pub fn count_kind(&self, kind: RequestKind) -> usize {
+    #[cfg(test)]
+    pub(crate) fn count_kind(&self, kind: crate::request::RequestKind) -> usize {
         self.iter().filter(|e| e.request.kind == kind).count()
     }
 }
@@ -715,6 +718,7 @@ impl RequestQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::RequestKind;
 
     fn indexer() -> BankIndexer {
         BankIndexer::new(&Organization::hbm4())

@@ -119,9 +119,9 @@ pub struct RetryPolicy {
     /// the wait).
     pub base_backoff_ms: u64,
     /// Seed for the jitter added on top of the backoff floor, so that many
-    /// clients shed at the same instant do not retry in lockstep. The
-    /// jitter is a pure function of `(jitter_seed, round)` — same seed,
-    /// same waits — which keeps retry timing reproducible in tests.
+    /// clients shed at the same instant do not retry in lockstep. It seeds
+    /// each loop's [`RetrySchedule`] — same seed, same waits — which keeps
+    /// retry timing reproducible in tests.
     pub jitter_seed: u64,
 }
 
@@ -136,31 +136,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The wait before retry round `round` (0-based), given the largest
-    /// engine retry hint among the shed scenarios: the floor is the larger
-    /// of the hint and the exponential schedule `base_backoff_ms << round`,
-    /// and a seeded jitter in `[0, floor/2]` is added on top. The hint is
-    /// honored as a *floor* — jitter never schedules a retry earlier than
-    /// the engine asked.
-    pub fn backoff_ms(&self, round: u32, hint: u64) -> u64 {
-        let floor = self
-            .base_backoff_ms
-            .checked_shl(round)
-            .unwrap_or(u64::MAX)
-            .max(hint);
-        // splitmix64 over (seed, round): deterministic, well-mixed jitter.
-        let mut z = self
-            .jitter_seed
-            .wrapping_add(u64::from(round).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let jitter = z % (floor / 2 + 1);
-        floor.saturating_add(jitter)
-    }
-
-    /// The stateful schedule for one retry loop (see [`RetrySchedule`]).
+    /// The backoff schedule for one retry loop (see [`RetrySchedule`]).
     pub fn schedule(&self) -> RetrySchedule {
         RetrySchedule {
             policy: *self,
@@ -170,17 +146,14 @@ impl RetryPolicy {
     }
 }
 
-/// One retry loop's backoff stream: the stateful form of [`RetryPolicy`].
+/// One retry loop's backoff stream, drawn from a [`RetryPolicy`].
 ///
-/// [`RetryPolicy::backoff_ms`] re-derives its jitter from `(seed, round)`
-/// on every call, so every call site holding the same policy replays the
-/// same waits — many loops shed at the same instant retry in lockstep
-/// anyway, defeating the jitter. A `RetrySchedule` instead owns one seeded
-/// splitmix64 *stream*: it is created once per retry loop
-/// ([`serve_jsonl_with_retry`] threads it through), each draw advances the
-/// state, and the whole end-to-end wait sequence is a deterministic
-/// function of the seed — reproducible in tests, yet streams with
-/// different seeds stay de-synchronized across draws.
+/// A `RetrySchedule` owns one seeded splitmix64 *stream*: it is created
+/// once per retry loop ([`serve_jsonl_with_retry`] threads it through),
+/// each draw advances the state, and the whole end-to-end wait sequence is
+/// a deterministic function of the seed — reproducible in tests, yet
+/// streams with different seeds stay de-synchronized across draws, so
+/// many loops shed at the same instant do not retry in lockstep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrySchedule {
     policy: RetryPolicy,
@@ -189,10 +162,12 @@ pub struct RetrySchedule {
 }
 
 impl RetrySchedule {
-    /// Draw the wait before the next retry round, honoring `hint` (the
-    /// largest engine retry hint among the shed scenarios) as a floor
-    /// exactly as [`RetryPolicy::backoff_ms`] does, and advance both the
-    /// round counter and the jitter stream.
+    /// Draw the wait before the next retry round and advance both the
+    /// round counter and the jitter stream. The floor is the larger of
+    /// `hint` (the largest engine retry hint among the shed scenarios) and
+    /// the exponential schedule `base_backoff_ms << round`, and a seeded
+    /// jitter in `[0, floor/2]` is added on top: jitter never schedules a
+    /// retry earlier than the engine asked.
     pub fn next_backoff_ms(&mut self, hint: u64) -> u64 {
         let floor = self
             .policy
@@ -374,38 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_honors_hint_as_floor_and_jitter_is_seeded() {
-        let policy = RetryPolicy {
-            max_retries: 3,
-            base_backoff_ms: 10,
-            jitter_seed: 42,
-        };
-        for round in 0..3 {
-            let floor = (10u64 << round).max(25);
-            let wait = policy.backoff_ms(round, 25);
-            // Never earlier than the engine's hint or the exponential
-            // schedule; jitter bounded at half the floor.
-            assert!(wait >= floor, "round {round}: {wait} < {floor}");
-            assert!(wait <= floor + floor / 2, "round {round}: {wait}");
-            // Deterministic: same seed, same wait.
-            assert_eq!(wait, policy.backoff_ms(round, 25));
-        }
-        // Different seeds de-synchronize (holds for these specific seeds).
-        let other = RetryPolicy {
-            jitter_seed: 7,
-            ..policy
-        };
-        assert_ne!(policy.backoff_ms(0, 25), other.backoff_ms(0, 25));
-        // Zero floor stays zero: a hintless, zero-base policy never sleeps.
-        let zero = RetryPolicy {
-            max_retries: 1,
-            base_backoff_ms: 0,
-            jitter_seed: 42,
-        };
-        assert_eq!(zero.backoff_ms(0, 0), 0);
-    }
-
-    #[test]
     fn retry_schedules_are_seeded_streams() {
         let policy = RetryPolicy {
             max_retries: 4,
@@ -417,8 +360,8 @@ mod tests {
         for round in 0..4 {
             let floor = (10u64 << round).max(25);
             let wait = a.next_backoff_ms(25);
-            // Bounds match the stateless form: hint-or-exponential floor,
-            // jitter at most half the floor.
+            // Never earlier than the engine's hint or the exponential
+            // schedule; jitter at most half the floor.
             assert!(wait >= floor, "round {round}: {wait} < {floor}");
             assert!(wait <= floor + floor / 2, "round {round}: {wait}");
             // Same seed, same stream, draw for draw.

@@ -188,7 +188,7 @@ pub fn split_tcp(
 /// sequentially on `engine`, stream responses through the bounded write
 /// queue. Returns why the connection closed. Never panics outward for
 /// transport misbehavior; scenario panics are already isolated inside
-/// [`ScenarioEngine::serve_batch`].
+/// [`ScenarioEngine::serve_observed`].
 pub fn handle_connection(
     engine: &ScenarioEngine,
     mut reader: impl ConnRead,
@@ -352,59 +352,8 @@ fn handle_event(
                             Some(config.overload_retry_after_ms),
                         );
                         proto::error_frame(req.id, &err)
-                    } else if let Some(record) = req.record {
-                        // Recorded request: the scenario runs with a
-                        // sim-time flight recorder armed; the event list
-                        // rides back on the response, and the result stays
-                        // byte-identical to an unrecorded serve.
-                        engine
-                            .registry()
-                            .histogram("server.span.parse_us")
-                            .record(parse_us);
-                        let (result, spans, buffer) =
-                            engine.serve_recorded(&req.spec, record.level);
-                        if let Some(path) = &config.trace_out {
-                            let chrome = rome_telemetry::trace::chrome_trace_json(&buffer.events);
-                            if std::fs::write(path, chrome).is_err() {
-                                engine.registry().counter("net.trace_out_errors").inc();
-                            }
-                        }
-                        let trace = req.trace.then(|| match spans.to_json() {
-                            Json::Obj(mut members) => {
-                                members.insert(0, ("parse_us".to_string(), Json::from(parse_us)));
-                                Json::Obj(members)
-                            }
-                            other => other,
-                        });
-                        let body = proto::record_json(record.level, &buffer, record.limit);
-                        proto::render_recorded_response(req.id, &req.spec, &result, trace, body)
-                    } else if req.trace {
-                        // Traced request: per-phase spans ride back on the
-                        // response frame the client explicitly asked for.
-                        engine
-                            .registry()
-                            .histogram("server.span.parse_us")
-                            .record(parse_us);
-                        let (result, spans) = engine.serve_traced(&req.spec);
-                        let trace = match spans.to_json() {
-                            Json::Obj(mut members) => {
-                                members.insert(0, ("parse_us".to_string(), Json::from(parse_us)));
-                                Json::Obj(members)
-                            }
-                            other => other,
-                        };
-                        proto::render_traced_response(req.id, &req.spec, &result, trace)
                     } else {
-                        let mut results = engine.serve_batch(std::slice::from_ref(&req.spec));
-                        let result = if results.is_empty() {
-                            Err(ServerError::internal(
-                                0,
-                                "serve_batch returned no result for a one-spec batch".to_string(),
-                            ))
-                        } else {
-                            results.swap_remove(0)
-                        };
-                        proto::render_response(req.id, &req.spec, &result)
+                        serve_request(engine, &req, parse_us, config)
                     }
                 }
                 Err(message) => {
@@ -439,6 +388,49 @@ fn handle_event(
         Enqueue::Sent => None,
         Enqueue::Stalled | Enqueue::Closed => Some(ConnClose::StalledReader),
     }
+}
+
+/// Serve one request frame through the engine's one serving path and
+/// render its response. The envelope's `"trace"` and `"record"` members
+/// only choose what rides back on the frame: the wall-clock spans (led by
+/// the frame's parse time) and the sim-time event list, which with
+/// `--trace-out` is also written as a Chrome trace. The result bytes are
+/// the same either way.
+fn serve_request(
+    engine: &ScenarioEngine,
+    req: &proto::Request,
+    parse_us: u64,
+    config: &ConnConfig,
+) -> String {
+    engine
+        .registry()
+        .histogram("server.span.parse_us")
+        .record(parse_us);
+    let level = req.record.map(|record| record.level);
+    let Some(served) = engine
+        .serve_observed(std::slice::from_ref(&req.spec), level)
+        .pop()
+    else {
+        let err = ServerError::internal(0, "no result for a one-spec batch".to_string());
+        return proto::error_frame(req.id, &err);
+    };
+    if let (Some(_), Some(path)) = (req.record, &config.trace_out) {
+        let chrome = rome_telemetry::trace::chrome_trace_json(&served.trace.events);
+        if std::fs::write(path, chrome).is_err() {
+            engine.registry().counter("net.trace_out_errors").inc();
+        }
+    }
+    let trace = req.trace.then(|| match served.spans.to_json() {
+        Json::Obj(mut members) => {
+            members.insert(0, ("parse_us".to_string(), Json::from(parse_us)));
+            Json::Obj(members)
+        }
+        other => other,
+    });
+    let record = req
+        .record
+        .map(|record| proto::record_json(record.level, &served.trace, record.limit));
+    proto::render_observed_response(req.id, &req.spec, &served.result, trace, record)
 }
 
 #[cfg(test)]
@@ -647,6 +639,32 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("\"code\":\"unavailable\""));
         assert!(lines[0].contains("draining"));
+    }
+
+    #[test]
+    fn traced_and_recorded_requests_pass_the_same_admission_gate() {
+        let mut limits = crate::engine::EngineLimits::default();
+        limits.admission.max_batch_specs = 0;
+        let engine = ScenarioEngine::with_limits(limits);
+        let frames = format!(
+            "{SPEC}\n{{\"id\":1,\"trace\":true,\"spec\":{SPEC}}}\n\
+             {{\"id\":2,\"record\":{{\"level\":\"requests\"}},\"spec\":{SPEC}}}\n"
+        );
+        let reader = ScriptedRead::new(vec![ReadStep::Chunk(frames.into_bytes())]);
+        let sink = SinkWrite::new();
+        let close = handle_connection(&engine, reader, sink.clone(), &quick_config());
+        assert_eq!(close, ConnClose::Eof);
+        // A plain, a traced and a recorded request: all three are shed by
+        // the spec-count limit, none of them runs.
+        let lines = sink.lines();
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        for line in &lines {
+            assert!(line.contains("\"code\":\"rejected\""), "{line}");
+        }
+        let registry = engine.registry();
+        assert_eq!(registry.counter("admission.rejected_permanent").get(), 3);
+        assert_eq!(registry.counter("serve.errors.rejected").get(), 3);
+        assert_eq!(registry.counter("serve.ok").get(), 0);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! A [`ScenarioEngine`] is the process-wide serving state. It owns a
 //! [`CalibrationCache`] — the expensive cycle-accurate calibrations, keyed
 //! and computed at most once, shared by every scenario of every batch — and
-//! fans batches out across a worker pool ([`ScenarioEngine::serve_batch`]):
-//! scenarios run concurrently, results come back in batch order, and a
-//! multi-cube scenario additionally shards its cubes across threads via
-//! [`rome_engine::run_cubes`] (one `MultiChannelSystem` per cube, the same
-//! share-nothing split `run_until_idle` applies to channels).
+//! fans batches out across a worker pool: scenarios run concurrently,
+//! results come back in batch order, and a multi-cube scenario additionally
+//! shards its cubes across threads via [`rome_engine::run_cubes`] (one
+//! `MultiChannelSystem` per cube, the same share-nothing split
+//! `run_until_idle` applies to channels).
 //!
 //! Every scenario variant routes through the *pre-existing* direct-call
 //! path — `ScenarioSet` sweeps, `rome_mc`/`rome_core` queue-depth runs,
@@ -16,16 +16,25 @@
 //! is bit-for-bit the result of calling that path yourself; the regression
 //! suite pins this.
 //!
-//! # The hardened serving path
+//! # One serving path
+//!
+//! [`ScenarioEngine::serve_observed`] is the only way a request is served;
+//! [`ScenarioEngine::serve_batch`] is its projection onto the results. Every
+//! batch — from the CLI, from a socket connection, traced, recorded or
+//! plain — passes the same admission gate, runs each spec through the same
+//! per-spec step, and folds every outcome into the same `serve.*` counters,
+//! `server.span.*` histograms and black box. So every request carries real
+//! [`ServeSpans`], and what a front end attaches to a response (spans,
+//! recorded events) is a choice of rendering, not of path.
 //!
 //! Three robustness layers sit between a batch and the run loops:
 //!
 //! * **Admission control** ([`AdmissionConfig`]): a batch is rejected as a
-//!   whole — before anything runs — when it exceeds the spec-count or
-//!   estimated-cost limits (permanent rejection: the same batch would fail
-//!   again) or when admitting it would push the engine over its in-flight
-//!   scenario limit (transient rejection, carrying a retry hint the CLI's
-//!   bounded-backoff loop keys on).
+//!   whole — before anything runs — when the engine is draining, when it
+//!   exceeds the spec-count or estimated-cost limits (permanent rejection:
+//!   the same batch would fail again) or when admitting it would push the
+//!   engine over its in-flight scenario limit (transient rejection,
+//!   carrying a retry hint the CLI's bounded-backoff loop keys on).
 //! * **Budgets** ([`RunBudget`] via [`EngineLimits`]): every scenario's run
 //!   loops are metered, so a runaway spec returns a partial result tagged
 //!   `aborted` instead of occupying a worker forever.
@@ -44,7 +53,7 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
@@ -180,7 +189,7 @@ impl FaultPlan {
 }
 
 /// RAII release of admitted in-flight slots; `Drop` runs even when a worker
-/// panic unwinds through `serve_batch`, so a faulty batch can never leak
+/// panic unwinds through `serve_observed`, so a faulty batch can never leak
 /// admission capacity.
 struct AdmissionGuard<'a> {
     counter: &'a AtomicUsize,
@@ -320,19 +329,9 @@ impl ScenarioEngine {
         &self.registry
     }
 
-    /// The accelerator the analytic scenarios model.
-    pub fn accel(&self) -> &AcceleratorSpec {
-        &self.accel
-    }
-
     /// The engine's operational limits.
     pub fn limits(&self) -> &EngineLimits {
         &self.limits
-    }
-
-    /// Replace the engine's operational limits.
-    pub fn set_limits(&mut self, limits: EngineLimits) {
-        self.limits = limits;
     }
 
     /// Install (or, with `None`, clear) a deterministic fault-injection
@@ -379,86 +378,110 @@ impl ScenarioEngine {
     /// kept it from producing one — an invalid spec, an isolated worker
     /// panic, or a batch-wide admission rejection. One bad spec never
     /// poisons the batch, and one bad batch never poisons the engine.
+    ///
+    /// This is [`ScenarioEngine::serve_observed`] without a recorder, keeping
+    /// only the results.
     pub fn serve_batch(&self, specs: &[ScenarioSpec]) -> Vec<Result<ScenarioResult, ServerError>> {
-        if self.drain.is_draining() {
-            self.registry
-                .counter("admission.rejected_draining")
-                .add(specs.len() as u64);
-            return (0..specs.len())
-                .map(|index| {
-                    Err(ServerError::unavailable(
-                        index,
-                        "engine draining: no new work accepted",
-                    ))
+        self.serve_observed(specs, None)
+            .into_iter()
+            .map(|served| served.result)
+            .collect()
+    }
+
+    /// The one serving path. The batch passes one admission gate; each
+    /// admitted spec then runs on the worker pool, with a sim-time flight
+    /// recorder at `record`'s level when given; and every outcome, admitted
+    /// or not, is folded into the `serve.*` counters, the `server.span.*`
+    /// histograms and the black box. Results come back in batch order with
+    /// their wall-clock [`ServeSpans`]. Neither the spans nor the recorder
+    /// touch a result: it is byte-identical to an unobserved serve, and the
+    /// recorded events are deterministic in sim time.
+    pub fn serve_observed(
+        &self,
+        specs: &[ScenarioSpec],
+        record: Option<TraceLevel>,
+    ) -> Vec<Served> {
+        let t = Instant::now();
+        let admitted = self.admit(specs);
+        let admission_us = t.elapsed().as_micros() as u64;
+        let served: Vec<Served> = match admitted {
+            // The guard releases the slots once every spec has finished,
+            // panicked ones included.
+            Ok(_guard) => specs
+                .iter()
+                .enumerate()
+                .collect::<Vec<(usize, &ScenarioSpec)>>()
+                .into_par_iter()
+                .map(|(index, spec)| self.serve_one(index, spec, record, admission_us))
+                .collect(),
+            Err(err) => (0..specs.len())
+                .map(|index| Served {
+                    result: Err(err.clone().at_index(index)),
+                    spans: ServeSpans {
+                        admission_us,
+                        ..ServeSpans::default()
+                    },
+                    trace: TraceBuffer::default(),
                 })
-                .collect();
+                .collect(),
+        };
+        for (spec, served) in specs.iter().zip(&served) {
+            self.record_outcome(&served.result);
+            self.record_spans(&served.spans);
+            self.record_flight(spec, served.spans, &served.result);
         }
+        served
+    }
+
+    /// The admission gate, applied to a whole batch before anything runs:
+    /// the drain check, then the spec-count and cost limits (permanent
+    /// rejections: the same batch would fail again), then the in-flight
+    /// slots (a transient rejection carrying the retry hint). The verdict
+    /// is counted once per spec under `admission.*`.
+    fn admit(&self, specs: &[ScenarioSpec]) -> Result<AdmissionGuard<'_>, ServerError> {
         let admission = &self.limits.admission;
-        if specs.len() > admission.max_batch_specs {
-            let detail = format!(
+        let permanent = |detail: String| {
+            (
+                "admission.rejected_permanent",
+                ServerError::rejected(0, detail, None),
+            )
+        };
+        let verdict = if self.drain.is_draining() {
+            Err((
+                "admission.rejected_draining",
+                ServerError::unavailable(0, "engine draining: no new work accepted"),
+            ))
+        } else if specs.len() > admission.max_batch_specs {
+            Err(permanent(format!(
                 "batch of {} specs exceeds the per-batch limit of {}",
                 specs.len(),
                 admission.max_batch_specs
-            );
-            self.registry
-                .counter("admission.rejected_permanent")
-                .add(specs.len() as u64);
-            return reject_all(specs.len(), &detail, None);
-        }
-        let cost: u64 = specs
-            .iter()
-            .map(ScenarioSpec::estimated_cost)
-            .fold(0, u64::saturating_add);
-        if cost > admission.max_batch_cost {
-            let detail = format!(
-                "batch cost estimate {cost} exceeds the per-batch limit of {}",
-                admission.max_batch_cost
-            );
-            self.registry
-                .counter("admission.rejected_permanent")
-                .add(specs.len() as u64);
-            return reject_all(specs.len(), &detail, None);
-        }
-        let _guard = match self.try_admit(specs.len()) {
-            Ok(guard) => guard,
-            Err(detail) => {
-                self.registry
-                    .counter("admission.rejected_transient")
-                    .add(specs.len() as u64);
-                return reject_all(specs.len(), &detail, Some(admission.retry_after_ms));
+            )))
+        } else {
+            let cost: u64 = specs
+                .iter()
+                .map(ScenarioSpec::estimated_cost)
+                .fold(0, u64::saturating_add);
+            if cost > admission.max_batch_cost {
+                Err(permanent(format!(
+                    "batch cost estimate {cost} exceeds the per-batch limit of {}",
+                    admission.max_batch_cost
+                )))
+            } else {
+                self.try_admit(specs.len()).map_err(|detail| {
+                    (
+                        "admission.rejected_transient",
+                        ServerError::rejected(0, detail, Some(admission.retry_after_ms)),
+                    )
+                })
             }
         };
-        self.registry
-            .counter("admission.accepted")
-            .add(specs.len() as u64);
-
-        let results: Vec<Result<ScenarioResult, ServerError>> = specs
-            .iter()
-            .enumerate()
-            .collect::<Vec<(usize, &ScenarioSpec)>>()
-            .into_par_iter()
-            .map(|(index, spec)| {
-                let budget = self.budget_for(index);
-                // catch_unwind sits INSIDE the per-scenario worker closure:
-                // a panic anywhere below (including one propagated up from a
-                // nested per-channel or per-cube worker) unwinds to here and
-                // becomes this scenario's structured error, never the
-                // batch's.
-                match catch_unwind(AssertUnwindSafe(|| self.serve_with_budget(spec, &budget))) {
-                    Ok(Ok(result)) => Ok(result),
-                    Ok(Err(err)) => Err(ServerError::invalid_spec(index, err)),
-                    Err(payload) => Err(ServerError::panicked(
-                        index,
-                        panic_message(payload.as_ref()),
-                    )),
-                }
-            })
-            .collect();
-        for (spec, result) in specs.iter().zip(&results) {
-            self.record_outcome(result);
-            self.record_flight(spec, ServeSpans::default(), result);
-        }
-        results
+        let counter = match &verdict {
+            Ok(_) => "admission.accepted",
+            Err((counter, _)) => counter,
+        };
+        self.registry.counter(counter).add(specs.len() as u64);
+        verdict.map_err(|(_, err)| err)
     }
 
     /// Fold one served outcome into the registry: an outcome counter
@@ -520,10 +543,18 @@ impl ScenarioEngine {
         }
     }
 
-    /// The budget for the scenario at `index` of a batch: the engine-wide
-    /// budget, plus the engine's drain signal and telemetry sink, plus any
-    /// fault the installed [`FaultPlan`] addresses to it.
-    fn budget_for(&self, index: usize) -> RunBudget {
+    /// Serve the admitted spec at `index` of its batch. Its budget is the
+    /// engine-wide one plus the drain signal, the telemetry sink, any fault
+    /// the installed [`FaultPlan`] addresses to `index` and, when `record`
+    /// asks, a trace sink. The spec runs under `catch_unwind`, and its
+    /// calibration lookups are timed apart from the rest of the run.
+    fn serve_one(
+        &self,
+        index: usize,
+        spec: &ScenarioSpec,
+        record: Option<TraceLevel>,
+        admission_us: u64,
+    ) -> Served {
         let mut budget = self
             .limits
             .budget
@@ -537,25 +568,53 @@ impl ScenarioEngine {
         {
             budget = budget.with_fault(fault);
         }
-        budget
+        let sink = record.map(|level| TraceSink::new(TraceConfig::with_level(level)));
+        if let Some(sink) = &sink {
+            budget = budget.with_trace(sink.clone());
+        }
+        let mut calibration = Duration::ZERO;
+        let start = Instant::now();
+        // catch_unwind sits INSIDE the per-scenario worker closure: a panic
+        // anywhere below (including one propagated up from a nested
+        // per-channel or per-cube worker) unwinds to here and becomes this
+        // scenario's structured error, never the batch's.
+        let result = match catch_unwind(AssertUnwindSafe(|| {
+            self.run(spec, &budget, &mut calibration)
+        })) {
+            Ok(Ok(payload)) => Ok(ScenarioResult {
+                name: spec.name().to_string(),
+                payload,
+            }),
+            Ok(Err(err)) => Err(ServerError::invalid_spec(index, err)),
+            Err(payload) => Err(ServerError::panicked(
+                index,
+                panic_message(payload.as_ref()),
+            )),
+        };
+        let simulate = start.elapsed().saturating_sub(calibration);
+        Served {
+            result,
+            spans: ServeSpans {
+                admission_us,
+                calibration_us: calibration.as_micros() as u64,
+                simulate_us: simulate.as_micros() as u64,
+            },
+            trace: sink.map(|sink| sink.take()).unwrap_or_default(),
+        }
     }
 
-    /// Serve one scenario through its pre-existing direct-call path under
-    /// the engine's budget. Bypasses admission control and the fault plan
-    /// (both are batch-level concepts); panics propagate to the caller.
-    pub fn serve(&self, spec: &ScenarioSpec) -> Result<ScenarioResult, SpecError> {
-        self.serve_with_budget(spec, &self.limits.budget)
-    }
-
-    /// Serve one scenario with an explicit [`RunBudget`]. Loop scenarios
-    /// thread the budget through their runners (each run loop meters
-    /// independently); analytic scenarios have no loop to meter and honor
-    /// only entry faults ([`RunBudget::entry_fault`]).
-    pub fn serve_with_budget(
+    /// Run one scenario through its pre-existing direct-call path under
+    /// `budget`. Loop scenarios thread the budget through their runners
+    /// (each run loop meters independently); analytic scenarios have no
+    /// loop to meter and honor only entry faults
+    /// ([`RunBudget::entry_fault`]), which fire before any calibration
+    /// lookup. The lookups add their wall-clock time to `calibration`.
+    fn run(
         &self,
         spec: &ScenarioSpec,
         budget: &RunBudget,
-    ) -> Result<ScenarioResult, SpecError> {
+        calibration: &mut Duration,
+    ) -> Result<ResultPayload, SpecError> {
         let payload = match spec {
             ScenarioSpec::Sweep {
                 name,
@@ -564,17 +623,14 @@ impl ScenarioEngine {
                 calibrated,
             } => {
                 budget.entry_fault();
+                let (hbm4, rome) = timed(calibration, || self.models(*calibrated));
                 let set = ScenarioSet::new(self.accel).with(Scenario {
                     name: name.clone(),
                     kind: *kind,
                     seq_len: *seq_len,
                 });
-                let mut reports = if *calibrated {
-                    set.run_cached(&self.calibration)
-                } else {
-                    set.run_nominal()
-                };
-                let report = reports
+                let report = set
+                    .run_with_models(&hbm4, &rome)
                     .pop()
                     .ok_or_else(|| SpecError("internal: sweep produced no report".into()))?;
                 ResultPayload::Sweep(report)
@@ -626,7 +682,9 @@ impl ScenarioEngine {
             }
             ScenarioSpec::Calibration { system, .. } => {
                 budget.entry_fault();
-                ResultPayload::Calibration(self.calibration.get_or_calibrate(*system))
+                ResultPayload::Calibration(timed(calibration, || {
+                    self.calibration.get_or_calibrate(*system)
+                }))
             }
             ScenarioSpec::Tpot {
                 model,
@@ -637,14 +695,7 @@ impl ScenarioEngine {
             } => {
                 budget.entry_fault();
                 let model = model_by_name(model)?;
-                let (hbm4, rome) = if *calibrated {
-                    MemoryModel::calibrated_pair_cached(&self.accel, &self.calibration)
-                } else {
-                    (
-                        MemoryModel::hbm4_baseline(&self.accel),
-                        MemoryModel::rome(&self.accel),
-                    )
-                };
+                let (hbm4, rome) = timed(calibration, || self.models(*calibrated));
                 ResultPayload::Tpot {
                     hbm4: decode_tpot(&model, *batch, *seq_len, &self.accel, &hbm4),
                     rome: decode_tpot(&model, *batch, *seq_len, &self.accel, &rome),
@@ -673,91 +724,21 @@ impl ScenarioEngine {
                 )))
             }
         };
-        Ok(ScenarioResult {
-            name: spec.name().to_string(),
-            payload,
-        })
+        Ok(payload)
     }
 
-    /// Serve one scenario with per-phase wall-clock spans: admission,
-    /// calibration warm-up, and simulation are timed separately, recorded
-    /// into the registry's `server.span.*` histograms, and returned so a
-    /// front end can attach them to the response *when the request opted
-    /// in*. The result itself is byte-identical to the untraced path —
-    /// spans are wall-clock and live strictly outside the
-    /// [`ScenarioResult`] payload.
-    pub fn serve_traced(
-        &self,
-        spec: &ScenarioSpec,
-    ) -> (Result<ScenarioResult, ServerError>, ServeSpans) {
-        let (result, spans, _) = self.serve_observed(spec, None);
-        (result, spans)
-    }
-
-    /// [`ScenarioEngine::serve_traced`], additionally armed with a sim-time
-    /// flight recorder at `level`: the scenario's run loops emit lifecycle
-    /// [`TraceEvent`](rome_telemetry::trace::TraceEvent)s into the returned
-    /// buffer. The recorder is a pure observation — the [`ScenarioResult`]
-    /// stays byte-identical to an unrecorded serve of the same spec, and the
-    /// buffer is deterministic in sim time (same spec, same events).
-    pub fn serve_recorded(
-        &self,
-        spec: &ScenarioSpec,
-        level: TraceLevel,
-    ) -> (Result<ScenarioResult, ServerError>, ServeSpans, TraceBuffer) {
-        self.serve_observed(spec, Some(level))
-    }
-
-    /// The shared traced/recorded serving path: admission, calibration
-    /// warm-up, and simulation timed into [`ServeSpans`], panics isolated,
-    /// the outcome folded into the registry and the black box, and — when
-    /// `record` is set — a [`TraceSink`] attached to the scenario's budget
-    /// and harvested into the returned [`TraceBuffer`].
-    fn serve_observed(
-        &self,
-        spec: &ScenarioSpec,
-        record: Option<TraceLevel>,
-    ) -> (Result<ScenarioResult, ServerError>, ServeSpans, TraceBuffer) {
-        let mut spans = ServeSpans::default();
-        let t = Instant::now();
-        let admitted = self.admit_one(spec);
-        spans.admission_us = t.elapsed().as_micros() as u64;
-        let guard = match admitted {
-            Ok(guard) => guard,
-            Err(err) => {
-                let result = Err(err);
-                self.record_outcome(&result);
-                self.record_spans(&spans);
-                self.record_flight(spec, spans, &result);
-                return (result, spans, TraceBuffer::default());
-            }
-        };
-        // Warm the calibrations the spec will consult so the simulate span
-        // measures simulation, not a cold cache. A warm hit costs ~nothing,
-        // so repeated traces converge on the steady-state phase split.
-        let t = Instant::now();
-        self.prewarm_calibration(spec);
-        spans.calibration_us = t.elapsed().as_micros() as u64;
-        let mut budget = self.budget_for(0);
-        let sink = record.map(|level| {
-            let sink = TraceSink::new(TraceConfig::with_level(level));
-            budget = budget.clone().with_trace(sink.clone());
-            sink
-        });
-        let t = Instant::now();
-        let result = match catch_unwind(AssertUnwindSafe(|| self.serve_with_budget(spec, &budget)))
-        {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(err)) => Err(ServerError::invalid_spec(0, err)),
-            Err(payload) => Err(ServerError::panicked(0, panic_message(payload.as_ref()))),
-        };
-        spans.simulate_us = t.elapsed().as_micros() as u64;
-        drop(guard);
-        self.record_outcome(&result);
-        self.record_spans(&spans);
-        self.record_flight(spec, spans, &result);
-        let buffer = sink.map(|sink| sink.take()).unwrap_or_default();
-        (result, spans, buffer)
+    /// The `(hbm4, rome)` memory models a sweep or TPOT spec runs against:
+    /// nominal, or calibrated through the engine's cache (one lookup per
+    /// system).
+    fn models(&self, calibrated: bool) -> (MemoryModel, MemoryModel) {
+        if calibrated {
+            MemoryModel::calibrated_pair_cached(&self.accel, &self.calibration)
+        } else {
+            (
+                MemoryModel::hbm4_baseline(&self.accel),
+                MemoryModel::rome(&self.accel),
+            )
+        }
     }
 
     /// Append one served request to the black box; a panicked serve dumps
@@ -819,62 +800,6 @@ impl ScenarioEngine {
             "rome-server black box ({why}): {}",
             self.flight_json().emit()
         );
-    }
-
-    /// The admission gates of [`ScenarioEngine::serve_batch`], applied to a
-    /// single scenario (the traced path serves one spec at a time).
-    fn admit_one(&self, spec: &ScenarioSpec) -> Result<AdmissionGuard<'_>, ServerError> {
-        if self.drain.is_draining() {
-            self.registry.counter("admission.rejected_draining").inc();
-            return Err(ServerError::unavailable(
-                0,
-                "engine draining: no new work accepted",
-            ));
-        }
-        let admission = &self.limits.admission;
-        let cost = spec.estimated_cost();
-        if cost > admission.max_batch_cost {
-            self.registry.counter("admission.rejected_permanent").inc();
-            let detail = format!(
-                "batch cost estimate {cost} exceeds the per-batch limit of {}",
-                admission.max_batch_cost
-            );
-            return Err(ServerError::rejected(0, detail, None));
-        }
-        match self.try_admit(1) {
-            Ok(guard) => {
-                self.registry.counter("admission.accepted").inc();
-                Ok(guard)
-            }
-            Err(detail) => {
-                self.registry.counter("admission.rejected_transient").inc();
-                Err(ServerError::rejected(
-                    0,
-                    detail,
-                    Some(admission.retry_after_ms),
-                ))
-            }
-        }
-    }
-
-    /// Warm every calibration `spec` will consult (see
-    /// [`ScenarioEngine::serve_traced`]).
-    fn prewarm_calibration(&self, spec: &ScenarioSpec) {
-        match spec {
-            ScenarioSpec::Sweep {
-                calibrated: true, ..
-            }
-            | ScenarioSpec::Tpot {
-                calibrated: true, ..
-            } => {
-                self.calibration.get_or_calibrate(MemorySystemKind::Hbm4);
-                self.calibration.get_or_calibrate(MemorySystemKind::Rome);
-            }
-            ScenarioSpec::Calibration { system, .. } => {
-                self.calibration.get_or_calibrate(*system);
-            }
-            _ => {}
-        }
     }
 
     fn record_spans(&self, spans: &ServeSpans) {
@@ -942,17 +867,32 @@ impl ScenarioEngine {
     }
 }
 
-/// Wall-clock phase timings of one traced serve, in microseconds. These are
-/// ops measurements — nondeterministic by nature — and are kept strictly
-/// outside [`ScenarioResult`]; a front end attaches them to a response only
-/// when the request's `trace` flag asked for them.
+/// One request as [`ScenarioEngine::serve_observed`] served it.
+#[derive(Debug)]
+pub struct Served {
+    /// The scenario's result, or the structured error that kept it from
+    /// producing one.
+    pub result: Result<ScenarioResult, ServerError>,
+    /// Wall-clock phase spans of the serve.
+    pub spans: ServeSpans,
+    /// The sim-time flight recorder's events; empty unless the serve was
+    /// recorded.
+    pub trace: TraceBuffer,
+}
+
+/// Wall-clock phase timings of one serve, in microseconds. Every served
+/// request has them, and they feed the `server.span.*` histograms and the
+/// black box. These are ops measurements — nondeterministic by nature — and
+/// are kept strictly outside [`ScenarioResult`]; a front end attaches them
+/// to a response only when the request's `trace` flag asked for them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeSpans {
-    /// Time in the admission gates (drain check, cost check, slot reserve).
+    /// Time in the admission gate (drain check, spec-count and cost limits,
+    /// slot reserve), shared by every spec of the batch.
     pub admission_us: u64,
-    /// Time warming the calibrations the spec consults (≈0 on a warm cache).
+    /// Time in the calibration lookups the spec makes (≈0 on a warm cache).
     pub calibration_us: u64,
-    /// Time in the scenario's direct-call serving path.
+    /// The rest of the time in the scenario's direct-call serving path.
     pub simulate_us: u64,
 }
 
@@ -967,6 +907,14 @@ impl ServeSpans {
     }
 }
 
+/// Run `f`, adding its wall-clock time to `elapsed`.
+fn timed<T>(elapsed: &mut Duration, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *elapsed += start.elapsed();
+    out
+}
+
 /// The summary of one histogram a stats snapshot renders: sample count,
 /// exact max, mean, and bucket-resolution p50/p95/p99 (the `sum` stays
 /// internal — it can exceed JSON's exact-integer range).
@@ -979,18 +927,6 @@ fn histogram_json(h: &rome_telemetry::LatencyHistogram) -> Json {
         ("p95", Json::from(h.p95())),
         ("p99", Json::from(h.p99())),
     ])
-}
-
-/// Every slot of a shed batch carries the same rejection, addressed to its
-/// own index.
-fn reject_all(
-    n: usize,
-    detail: &str,
-    retry_after_ms: Option<u64>,
-) -> Vec<Result<ScenarioResult, ServerError>> {
-    (0..n)
-        .map(|i| Err(ServerError::rejected(i, detail.to_string(), retry_after_ms)))
-        .collect()
 }
 
 /// The §V-A queue-depth sweep: one streaming-read run per depth on a fresh
@@ -1088,7 +1024,7 @@ mod tests {
             bytes_per_cube: 256 * 1024,
             max_ns: 5_000_000,
         };
-        let result = engine.serve(&spec).unwrap();
+        let result = engine.serve_batch(&[spec]).remove(0).unwrap();
         let ResultPayload::MultiCube(report) = &result.payload else {
             panic!("wrong payload");
         };
@@ -1107,6 +1043,50 @@ mod tests {
                 < 1e-9
         );
         assert_eq!(report.merged.aborted, None);
+    }
+
+    fn queue_depth(name: &str) -> ScenarioSpec {
+        ScenarioSpec::QueueDepth {
+            name: name.into(),
+            system: MemorySystemKind::Hbm4,
+            depths: vec![4],
+            total_bytes: 256 * 1024,
+            granularity: 4096,
+        }
+    }
+
+    #[test]
+    fn untraced_batches_carry_real_spans() {
+        let engine = ScenarioEngine::new();
+        let results = engine.serve_batch(&[queue_depth("a"), queue_depth("b")]);
+        assert!(results.iter().all(Result::is_ok), "{results:?}");
+        // Nobody asked for spans, yet both specs were timed: the black box
+        // and the span histograms see every request.
+        let records = engine.flight_records();
+        assert_eq!(records.len(), 2);
+        for record in &records {
+            assert!(record.spans.simulate_us > 0, "{record:?}");
+        }
+        let simulate = engine.registry().histogram("server.span.simulate_us");
+        assert_eq!(simulate.count(), 2);
+    }
+
+    #[test]
+    fn drained_batches_are_counted_and_recorded_per_spec() {
+        let engine = ScenarioEngine::new();
+        engine.start_drain(Duration::from_millis(1));
+        let results = engine.serve_batch(&[queue_depth("a"), queue_depth("b")]);
+        for (i, result) in results.iter().enumerate() {
+            let err = result.as_ref().unwrap_err();
+            assert_eq!(err.code, ErrorCode::Unavailable);
+            assert_eq!(err.scenario_index, i);
+        }
+        let registry = engine.registry();
+        assert_eq!(registry.counter("serve.errors.unavailable").get(), 2);
+        assert_eq!(registry.counter("admission.rejected_draining").get(), 2);
+        let records = engine.flight_records();
+        assert_eq!(records.len(), 2);
+        assert!(records.iter().all(|r| r.outcome == "unavailable"));
     }
 
     #[test]

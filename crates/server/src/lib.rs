@@ -20,15 +20,20 @@
 //!   `MultiChannelSystem` per cube across threads
 //!   ([`rome_engine::run_cubes`]) and merge the reports
 //!   ([`rome_engine::merge_reports`]).
-//! * **Front ends** — the in-process [`ScenarioEngine::serve_batch`], and
-//!   the JSONL batch CLI ([`cli`], the `rome-server` binary): specs in on
-//!   stdin or a file, results out on stdout, in input order,
-//!   deterministically. The CLI is a thin wrapper over
-//!   [`cli::serve_jsonl`], so both front ends produce byte-identical
-//!   output for the same batch.
+//!   Its one serving path is [`ScenarioEngine::serve_observed`]: one
+//!   admission gate per batch, one per-spec step, and every outcome folded
+//!   into the same counters, span histograms and black box.
+//!   [`ScenarioEngine::serve_batch`] is that path keeping only the results.
+//! * **Front ends** — the in-process [`ScenarioEngine::serve_batch`], the
+//!   JSONL batch CLI ([`cli`], the `rome-server` binary): specs in on stdin
+//!   or a file, results out on stdout, in input order, deterministically —
+//!   and the socket service ([`net`], [`conn`], [`proto`]), which serves
+//!   each request frame through the same path. The CLI is a thin wrapper
+//!   over [`cli::serve_jsonl`], so the front ends produce byte-identical
+//!   output for the same specs.
 //!
 //! Served results are **bit-for-bit** the results of the pre-existing
-//! direct-call paths (`ScenarioSet::run_nominal`/`run_cached`,
+//! direct-call paths (`ScenarioSet::run_nominal`/`run_with_models`,
 //! `closed_loop_sweep`, `decode_tpot`, `Calibrator`), pinned by
 //! `tests/scenario_server.rs`.
 //!
@@ -60,34 +65,13 @@ pub mod net;
 pub mod proto;
 pub mod spec;
 
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::cli::{
-        parse_batch, render_results, serve_jsonl, serve_jsonl_with_retry, RetryPolicy,
-        RetrySchedule,
-    };
-    pub use crate::conn::{ConnClose, ConnConfig};
-    pub use crate::engine::{
-        AdmissionConfig, EngineLimits, FaultPlan, ScenarioEngine, ServeSpans, ServedRecord,
-    };
-    pub use crate::error::{ErrorCode, ServerError};
-    pub use crate::net::{NetConfig, NetStats, ServerHandle, SocketServer};
-    pub use crate::proto::{
-        Frame, FrameEvent, FrameReader, RecordSpec, Request, TransportFault, TransportFaultPlan,
-    };
-    pub use crate::spec::{
-        MultiCubeReport, QueueDepthRow, ResultPayload, ScenarioResult, ScenarioSpec, SpecError,
-        TenantDecl, WorkloadSpec,
-    };
-}
-
 pub use cli::{
     parse_batch, render_results, serve_jsonl, serve_jsonl_with_retry, BatchError, RetryPolicy,
     RetrySchedule,
 };
 pub use conn::{ConnClose, ConnConfig};
 pub use engine::{
-    spec_fingerprint, AdmissionConfig, EngineLimits, FaultPlan, ScenarioEngine, ServeSpans,
+    spec_fingerprint, AdmissionConfig, EngineLimits, FaultPlan, ScenarioEngine, ServeSpans, Served,
     ServedRecord,
 };
 pub use error::{ErrorCode, ServerError};

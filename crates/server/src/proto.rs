@@ -306,48 +306,26 @@ pub fn render_response(
     spec: &ScenarioSpec,
     result: &Result<ScenarioResult, ServerError>,
 ) -> String {
-    let line = crate::cli::result_json(spec, result);
-    with_id(id, line).emit()
+    render_observed_response(id, spec, result, None, None)
 }
 
-/// Render one traced response frame: the ordinary response object with a
-/// trailing `"trace"` member holding the wall-clock span object. Only
-/// requests that asked (`"trace":true`) are rendered this way — every
-/// other response stays byte-identical to the untraced encoding.
-pub fn render_traced_response(
-    id: Option<u64>,
-    spec: &ScenarioSpec,
-    result: &Result<ScenarioResult, ServerError>,
-    trace: Json,
-) -> String {
-    let line = match crate::cli::result_json(spec, result) {
-        Json::Obj(mut members) => {
-            members.push(("trace".to_string(), trace));
-            Json::Obj(members)
-        }
-        other => other,
-    };
-    with_id(id, line).emit()
-}
-
-/// Render one recorded response frame: the ordinary (or traced, when the
-/// envelope also asked for wall-clock spans) response object with a
-/// trailing `"record"` member holding the sim-time event list. Only
-/// requests that sent `"record":{…}` are rendered this way — every other
-/// response stays byte-identical to the unrecorded encoding.
-pub fn render_recorded_response(
+/// Render one response frame with the observations its request asked for:
+/// the [`render_response`] object, then a trailing `"trace"` member (the
+/// wall-clock span object, for `"trace":true`) and a trailing `"record"`
+/// member (the sim-time event list, for `"record":{…}`). With neither it is
+/// [`render_response`] byte for byte, and the members never touch the
+/// result bytes before them.
+pub fn render_observed_response(
     id: Option<u64>,
     spec: &ScenarioSpec,
     result: &Result<ScenarioResult, ServerError>,
     trace: Option<Json>,
-    record: Json,
+    record: Option<Json>,
 ) -> String {
     let line = match crate::cli::result_json(spec, result) {
         Json::Obj(mut members) => {
-            if let Some(trace) = trace {
-                members.push(("trace".to_string(), trace));
-            }
-            members.push(("record".to_string(), record));
+            members.extend(trace.map(|trace| ("trace".to_string(), trace)));
+            members.extend(record.map(|record| ("record".to_string(), record)));
             Json::Obj(members)
         }
         other => other,

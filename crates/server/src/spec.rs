@@ -344,7 +344,8 @@ impl ScenarioSpec {
     /// The specs a [`rome_sim::ScenarioSet`] batch corresponds to: the
     /// serving form of every scenario in the set. `serve_batch` over these
     /// (with `calibrated` matching the set's run mode) reproduces
-    /// `set.run_nominal()` / `set.run_cached(…)` row for row.
+    /// `set.run_nominal()` (or `set.run_with_models` over the calibrated
+    /// pair) row for row.
     pub fn from_scenario_set(set: &rome_sim::ScenarioSet, calibrated: bool) -> Vec<ScenarioSpec> {
         set.scenarios
             .iter()

@@ -12,8 +12,15 @@ use rome_engine::EngineFault;
 use rome_server::conn::{handle_connection, ConnConfig, ConnRead, ConnWrite};
 use rome_server::engine::spec_fingerprint;
 use rome_server::json::{self, Json};
-use rome_server::{FaultPlan, ResultPayload, ScenarioEngine, ScenarioSpec};
+use rome_server::{FaultPlan, ResultPayload, ScenarioEngine, ScenarioSpec, Served};
 use rome_telemetry::trace::{chrome_trace_json, TraceLevel};
+
+/// Serve `spec` alone with the flight recorder armed at `level`.
+fn serve_with_recorder(engine: &ScenarioEngine, spec: &ScenarioSpec, level: TraceLevel) -> Served {
+    let mut served = engine.serve_observed(std::slice::from_ref(spec), Some(level));
+    assert_eq!(served.len(), 1);
+    served.remove(0)
+}
 
 fn queue_depth_spec(name: &str) -> ScenarioSpec {
     ScenarioSpec::QueueDepth {
@@ -29,7 +36,11 @@ fn queue_depth_spec(name: &str) -> ScenarioSpec {
 fn recorded_serve_returns_events_matching_the_report() {
     let engine = ScenarioEngine::new();
     let spec = queue_depth_spec("rec");
-    let (result, _spans, buffer) = engine.serve_recorded(&spec, TraceLevel::Requests);
+    let Served {
+        result,
+        trace: buffer,
+        ..
+    } = serve_with_recorder(&engine, &spec, TraceLevel::Requests);
     let result = result.expect("recorded serve succeeds");
     let ResultPayload::QueueDepth(rows) = &result.payload else {
         panic!("wrong payload");
@@ -61,7 +72,11 @@ fn commands_level_additionally_records_bank_activity() {
         total_bytes: 1024 * 1024,
         granularity: 4096,
     };
-    let (result, _spans, buffer) = engine.serve_recorded(&spec, TraceLevel::Commands);
+    let Served {
+        result,
+        trace: buffer,
+        ..
+    } = serve_with_recorder(&engine, &spec, TraceLevel::Commands);
     result.expect("recorded serve succeeds");
     assert!(buffer.events.iter().any(|e| e.kind.as_str() == "issue"));
     assert!(buffer.events.iter().any(|e| e.kind.as_str() == "row_open"));
@@ -71,7 +86,8 @@ fn commands_level_additionally_records_bank_activity() {
 fn recording_never_perturbs_the_result() {
     let engine = ScenarioEngine::new();
     let spec = queue_depth_spec("bit");
-    let plain = engine.serve(&spec).expect("plain serve succeeds");
+    let plain = engine.serve_batch(std::slice::from_ref(&spec)).remove(0);
+    let plain = plain.expect("plain serve succeeds");
     let render = |r: &rome_server::spec::ScenarioResult| {
         rome_server::proto::render_response(Some(1), &spec, &Ok(r.clone()))
     };
@@ -80,8 +96,12 @@ fn recording_never_perturbs_the_result() {
     // whether it is plumbed through but disarmed (`Off`) or records every
     // command.
     for level in [TraceLevel::Off, TraceLevel::Commands] {
-        let (recorded, _, buffer) = engine.serve_recorded(&spec, level);
-        let recorded = recorded.expect("recorded serve succeeds");
+        let Served {
+            result,
+            trace: buffer,
+            ..
+        } = serve_with_recorder(&engine, &spec, level);
+        let recorded = result.expect("recorded serve succeeds");
         assert_eq!(plain, recorded, "{level:?}");
         assert_eq!(buffer.events.is_empty(), level == TraceLevel::Off);
         assert_eq!(render(&plain), render(&recorded));
@@ -92,8 +112,8 @@ fn recording_never_perturbs_the_result() {
 fn same_spec_yields_a_byte_identical_trace() {
     let engine = ScenarioEngine::new();
     let spec = queue_depth_spec("det");
-    let (_, _, a) = engine.serve_recorded(&spec, TraceLevel::Commands);
-    let (_, _, b) = engine.serve_recorded(&spec, TraceLevel::Commands);
+    let a = serve_with_recorder(&engine, &spec, TraceLevel::Commands).trace;
+    let b = serve_with_recorder(&engine, &spec, TraceLevel::Commands).trace;
     assert!(!a.events.is_empty());
     assert_eq!(a.events, b.events);
     assert_eq!(chrome_trace_json(&a.events), chrome_trace_json(&b.events));

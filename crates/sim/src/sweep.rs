@@ -19,7 +19,7 @@ use rome_llm::ops::decode_step;
 use rome_llm::parallelism::Parallelism;
 
 use crate::accelerator::{AcceleratorSpec, ServerSpec};
-use crate::calibration::{CalibrationCache, Calibrator};
+use crate::calibration::Calibrator;
 use crate::lbr::channel_load_balance;
 use crate::memory_model::MemoryModel;
 use crate::tpot::decode_tpot;
@@ -259,18 +259,6 @@ impl ScenarioSet {
     /// warm calibrated models.
     pub fn run_calibrated(&self, calibrator: &mut Calibrator) -> Vec<ScenarioReport> {
         let (hbm4, rome) = MemoryModel::calibrated_pair(&self.accel, calibrator);
-        self.run_with_models(&hbm4, &rome)
-    }
-
-    /// Run every scenario against a shared [`CalibrationCache`] — the
-    /// serving form of [`ScenarioSet::run_calibrated`]. The cache outlives
-    /// the set and is safely shared across threads, so many sets (or many
-    /// batches arriving at a scenario server) reuse one pair of measured
-    /// calibrations; `rome-server` routes its sweep scenarios through
-    /// exactly this path, which is what keeps the served results
-    /// bit-identical to the direct calls.
-    pub fn run_cached(&self, cache: &CalibrationCache) -> Vec<ScenarioReport> {
-        let (hbm4, rome) = MemoryModel::calibrated_pair_cached(&self.accel, cache);
         self.run_with_models(&hbm4, &rome)
     }
 }

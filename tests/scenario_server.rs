@@ -12,12 +12,20 @@
 //!    `decode_tpot`, and the §V-A queue-depth runs.
 
 use rome::server::{
-    render_results, serve_jsonl, ResultPayload, ScenarioEngine, ScenarioSpec, WorkloadSpec,
+    render_results, serve_jsonl, ResultPayload, ScenarioEngine, ScenarioResult, ScenarioSpec,
+    WorkloadSpec,
 };
 use rome::sim::serving::closed_loop_sweep;
 use rome::sim::sweep::{Scenario, SweepKind};
 use rome::sim::{AcceleratorSpec, Calibrator, MemoryModel, MemorySystemKind, ScenarioSet};
 use rome::workload::{MoeRoutingConfig, MoeRoutingSource};
+
+/// Serve `spec` as a one-spec batch and unwrap its result.
+fn serve(engine: &ScenarioEngine, spec: &ScenarioSpec) -> ScenarioResult {
+    let mut results = engine.serve_batch(std::slice::from_ref(spec));
+    assert_eq!(results.len(), 1);
+    results.remove(0).unwrap()
+}
 
 fn moe_cfg() -> MoeRoutingConfig {
     MoeRoutingConfig {
@@ -127,7 +135,7 @@ fn served_sweep_matches_scenario_set_bit_for_bit() {
         seq_len: 4096,
         calibrated: false,
     };
-    let served = engine.serve(&spec).unwrap();
+    let served = serve(&engine, &spec);
     let direct = ScenarioSet::new(AcceleratorSpec::paper_default())
         .with(Scenario {
             name: "fig13-4k".into(),
@@ -151,7 +159,7 @@ fn served_closed_loop_matches_the_direct_sweep_bit_for_bit() {
         max_ns: 10_000_000,
         workload: WorkloadSpec::Moe(moe_cfg()),
     };
-    let served = engine.serve(&spec).unwrap();
+    let served = serve(&engine, &spec);
     let direct = closed_loop_sweep(MemorySystemKind::Hbm4, 4, &[1, 8], 10_000_000, |_| {
         MoeRoutingSource::new(moe_cfg())
     });
@@ -162,12 +170,13 @@ fn served_closed_loop_matches_the_direct_sweep_bit_for_bit() {
 fn served_calibration_and_tpot_match_the_direct_paths_bit_for_bit() {
     let engine = ScenarioEngine::new();
 
-    let served = engine
-        .serve(&ScenarioSpec::Calibration {
+    let served = serve(
+        &engine,
+        &ScenarioSpec::Calibration {
             name: "cal".into(),
             system: MemorySystemKind::Hbm4,
-        })
-        .unwrap();
+        },
+    );
     assert_eq!(
         served.payload,
         ResultPayload::Calibration(Calibrator::new().hbm4())
@@ -175,15 +184,16 @@ fn served_calibration_and_tpot_match_the_direct_paths_bit_for_bit() {
     // The engine's cache is now warm: calibrated scenarios reuse it.
     assert!(engine.calibration().is_warm(MemorySystemKind::Hbm4));
 
-    let served = engine
-        .serve(&ScenarioSpec::Tpot {
+    let served = serve(
+        &engine,
+        &ScenarioSpec::Tpot {
             name: "tpot".into(),
             model: "grok-1".into(),
             batch: 64,
             seq_len: 8192,
             calibrated: false,
-        })
-        .unwrap();
+        },
+    );
     let accel = AcceleratorSpec::paper_default();
     let model = rome::llm::ModelConfig::grok_1();
     let direct_hbm4 = rome::sim::decode_tpot(
@@ -206,15 +216,16 @@ fn served_calibration_and_tpot_match_the_direct_paths_bit_for_bit() {
 #[test]
 fn served_queue_depth_matches_the_direct_runs_bit_for_bit() {
     let engine = ScenarioEngine::new();
-    let served = engine
-        .serve(&ScenarioSpec::QueueDepth {
+    let served = serve(
+        &engine,
+        &ScenarioSpec::QueueDepth {
             name: "qd".into(),
             system: MemorySystemKind::Rome,
             depths: vec![1, 4],
             total_bytes: 256 * 1024,
             granularity: 4096,
-        })
-        .unwrap();
+        },
+    );
     let ResultPayload::QueueDepth(rows) = &served.payload else {
         panic!("wrong payload");
     };
@@ -259,7 +270,7 @@ fn trace_workloads_serve_through_the_whole_stack() {
     let out = serve_jsonl(&engine, &input).unwrap();
     assert!(out.starts_with("{\"name\":\"trace\",\"scenario\":\"closed_loop\""));
 
-    let served = engine.serve(&spec).unwrap();
+    let served = serve(&engine, &spec);
     let direct = closed_loop_sweep(MemorySystemKind::Rome, 2, &[2], 10_000_000, |_| {
         TraceSource::from_records(&records)
     });
