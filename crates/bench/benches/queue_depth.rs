@@ -12,7 +12,7 @@ fn bench(c: &mut Criterion) {
                 let mut c = rome_mc::ChannelController::new(
                     rome_mc::ControllerConfig::hbm4_with_queue_depth(16),
                 );
-                rome_mc::simulate::run_to_completion(
+                rome_engine::simulate::run_to_completion(
                     &mut c,
                     rome_mc::workload::streaming_reads(0, 64 * 1024, 32),
                 )

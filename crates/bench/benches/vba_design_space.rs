@@ -12,7 +12,7 @@ fn bench(c: &mut Criterion) {
                 let mut c = rome_core::RomeController::new(
                     rome_core::RomeControllerConfig::paper_default(),
                 );
-                rome_core::simulate::run_to_completion(
+                rome_engine::simulate::run_to_completion(
                     &mut c,
                     rome_mc::workload::streaming_reads(0, 256 * 1024, 4096),
                 )

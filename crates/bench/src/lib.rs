@@ -8,9 +8,13 @@
 
 #![warn(missing_docs)]
 
-use rome_core::prelude::*;
+use rome_core::{
+    CaPinModel, ChannelPlan, ComplexityComparison, RomeController, RomeControllerConfig,
+    RomeTimingParams, VbaConfig,
+};
 use rome_energy::dram_energy::EnergyParams;
 use rome_energy::{AreaModel, AreaReport};
+use rome_engine::simulate::run_to_completion;
 use rome_hbm::specs::generation_trends;
 use rome_llm::prelude::*;
 use rome_sim::prelude::*;
@@ -224,7 +228,9 @@ pub fn vba_design_space_table() -> String {
         let row = ctrl_cfg.row_bytes();
         let mut ctrl = RomeController::new(ctrl_cfg);
         let reqs = rome_mc::workload::streaming_reads(0, 2 * 1024 * 1024, row);
-        let report = rome_core::simulate::run_to_completion(&mut ctrl, reqs);
+        let requests = reqs.len();
+        let report = run_to_completion(&mut ctrl, reqs)
+            .expect_complete(requests, format_args!("VBA design point {}", cfg.label()));
         results.push((cfg, row, report.achieved_bandwidth_gbps));
     }
     let best = results.iter().map(|r| r.2).fold(0.0f64, f64::max);
@@ -257,17 +263,17 @@ pub fn queue_depth_table() -> String {
         let mut hbm4 = rome_mc::ChannelController::new(
             rome_mc::ControllerConfig::hbm4_with_queue_depth(depth),
         );
-        let hbm4_bw = rome_mc::simulate::run_to_completion(
-            &mut hbm4,
-            rome_mc::workload::streaming_reads(0, 512 * 1024, 32),
-        )
-        .achieved_bandwidth_gbps;
+        let reqs = rome_mc::workload::streaming_reads(0, 512 * 1024, 32);
+        let requests = reqs.len();
+        let hbm4_bw = run_to_completion(&mut hbm4, reqs)
+            .expect_complete(requests, format_args!("HBM4 at queue depth {depth}"))
+            .achieved_bandwidth_gbps;
         let mut rome = RomeController::new(RomeControllerConfig::with_queue_depth(depth));
-        let rome_bw = rome_core::simulate::run_to_completion(
-            &mut rome,
-            rome_mc::workload::streaming_reads(0, 2 * 1024 * 1024, 4096),
-        )
-        .achieved_bandwidth_gbps;
+        let reqs = rome_mc::workload::streaming_reads(0, 2 * 1024 * 1024, 4096);
+        let requests = reqs.len();
+        let rome_bw = run_to_completion(&mut rome, reqs)
+            .expect_complete(requests, format_args!("RoMe at queue depth {depth}"))
+            .achieved_bandwidth_gbps;
         out.push_str(&format!("{:>5} {:>7.1} {:>7.1}\n", depth, hbm4_bw, rome_bw));
     }
     out.push_str("paper: HBM4 needs ≥45 entries for peak; RoMe saturates with 2\n");

@@ -25,14 +25,15 @@
 //! # Example
 //!
 //! ```
-//! use rome_core::prelude::*;
+//! use rome_core::{RomeController, RomeControllerConfig};
 //!
 //! // A RoMe channel controller with the paper's default configuration.
 //! let mut ctrl = RomeController::new(RomeControllerConfig::paper_default());
 //!
-//! // Stream 64 KiB of row-granularity reads through it.
+//! // Stream 64 KiB of row-granularity reads through it with the engine's
+//! // generic driver.
 //! let reqs = rome_mc::workload::streaming_reads(0, 64 * 1024, 4096);
-//! let report = rome_core::simulate::run_to_completion(&mut ctrl, reqs);
+//! let report = rome_engine::simulate::run_to_completion(&mut ctrl, reqs);
 //! assert_eq!(report.bytes_read, 64 * 1024);
 //! // A single channel sustains close to its 64 GB/s peak with a tiny queue.
 //! assert!(report.achieved_bandwidth_gbps > 50.0);
@@ -48,25 +49,10 @@ pub mod generator;
 pub mod pins;
 pub mod refresh;
 pub mod row_command;
-pub mod simulate;
 pub mod stats;
 pub mod system;
 pub mod timing;
 pub mod vba;
-
-/// Convenient glob-import of the most commonly used types.
-pub mod prelude {
-    pub use crate::channel_plan::ChannelPlan;
-    pub use crate::complexity::{ComplexityComparison, McComplexity};
-    pub use crate::controller::{RomeController, RomeControllerConfig};
-    pub use crate::generator::CommandGenerator;
-    pub use crate::pins::CaPinModel;
-    pub use crate::row_command::{RowCommand, RowCommandKind, VbaAddress};
-    pub use crate::stats::RomeStats;
-    pub use crate::system::{RomeMemorySystem, RomeSystemConfig};
-    pub use crate::timing::RomeTimingParams;
-    pub use crate::vba::{BankMerge, PcMerge, VbaConfig};
-}
 
 pub use channel_plan::ChannelPlan;
 pub use complexity::{ComplexityComparison, McComplexity};

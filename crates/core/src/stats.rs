@@ -12,7 +12,8 @@ use crate::generator::ExpansionCounts;
 /// driver, while the per-tick fields (`total_cycles`, `stall_cycles`,
 /// `idle_cycles`) count executed scheduling ticks — one per nanosecond only
 /// under a cycle-stepped driver; an event-driven driver skips provably idle
-/// nanoseconds. Use `run_with_limit_stepped` for per-nanosecond accounting.
+/// nanoseconds. Tick the controller every nanosecond yourself for
+/// per-nanosecond accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RomeStats {
     /// `RD_row` commands issued.

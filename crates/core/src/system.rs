@@ -146,14 +146,6 @@ impl RomeMemorySystem {
         })
     }
 
-    /// Advance the whole system by one nanosecond.
-    ///
-    /// Allocates a fresh completion vector per call; hot loops should prefer
-    /// [`RomeMemorySystem::tick_into`] with a reused buffer.
-    pub fn tick(&mut self, now: Cycle) -> Vec<HostCompletion> {
-        self.inner.tick(now)
-    }
-
     /// Advance the whole system by one nanosecond, appending completed host
     /// requests to `completions`. Returns `true` if any channel issued a row
     /// command.
@@ -169,24 +161,18 @@ impl RomeMemorySystem {
         self.inner.next_event_at(now)
     }
 
-    /// Run until idle or `max_ns`, returning the completions (sorted by
-    /// completion time, then id) and the stop time. Channels run their
-    /// event-driven loops in parallel; see
+    /// Run until all submitted requests complete or `max_ns` elapses,
+    /// metered against `budget` (each channel meters independently); returns
+    /// the completions (sorted by completion time, then id), the cycle the
+    /// run stopped at and the abort reason, if any channel's budget tripped.
+    /// Channels run their event-driven loops in parallel; see
     /// [`rome_engine::MultiChannelSystem::run_until_idle`].
-    pub fn run_until_idle(&mut self, max_ns: Cycle) -> (Vec<HostCompletion>, Cycle) {
-        self.inner.run_until_idle(max_ns)
-    }
-
-    /// Like [`RomeMemorySystem::run_until_idle`] but metered against a
-    /// [`rome_engine::RunBudget`] (each channel meters independently),
-    /// returning the abort reason if any channel's budget tripped; see
-    /// [`rome_engine::MultiChannelSystem::run_until_idle_budgeted`].
-    pub fn run_until_idle_budgeted(
+    pub fn run_until_idle(
         &mut self,
         max_ns: Cycle,
         budget: &rome_engine::RunBudget,
     ) -> (Vec<HostCompletion>, Cycle, Option<rome_engine::AbortReason>) {
-        self.inner.run_until_idle_budgeted(max_ns, budget)
+        self.inner.run_until_idle(max_ns, budget)
     }
 
     /// Drive the system from a lazy [`rome_engine::TrafficSource`] until the
@@ -194,7 +180,7 @@ impl RomeMemorySystem {
     /// elapses. Completions are fed back to the source (closed-loop hosts
     /// key their next injection on them) and the source's arrivals merge
     /// into the event horizon; see
-    /// [`rome_engine::MultiChannelSystem::run_with_source`].
+    /// [`rome_engine::MultiChannelSystem::run_with_source_budgeted`].
     pub fn run_with_source<S: rome_engine::TrafficSource>(
         &mut self,
         source: &mut S,
@@ -255,6 +241,7 @@ fn decode_for(config: &RomeSystemConfig, address: u64) -> (u16, VbaAddress, u32)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rome_engine::RunBudget;
 
     #[test]
     fn paper_cube_has_36_channels_and_2_25_tbps() {
@@ -280,7 +267,7 @@ mod tests {
     fn large_transfer_spreads_across_channels_and_completes() {
         let mut sys = RomeMemorySystem::new(RomeSystemConfig::with_channels(4));
         sys.submit(MemoryRequest::read(1, 0, 256 * 1024, 0));
-        let (done, finish) = sys.run_until_idle(5_000_000);
+        let (done, finish, _) = sys.run_until_idle(5_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].bytes, 256 * 1024);
         let per_chan = sys.bytes_per_channel();
@@ -301,7 +288,7 @@ mod tests {
         // the imbalance RoMe's Figure 13 quantifies.
         let mut sys = RomeMemorySystem::new(RomeSystemConfig::with_channels(4));
         sys.submit(MemoryRequest::read(1, 0, 12 * 1024, 0));
-        sys.run_until_idle(1_000_000);
+        sys.run_until_idle(1_000_000, &RunBudget::unlimited());
         let per_chan = sys.bytes_per_channel();
         let loaded = per_chan.iter().filter(|&&b| b > 0).count();
         assert_eq!(loaded, 3, "{per_chan:?}");
@@ -312,7 +299,7 @@ mod tests {
         let mut sys = RomeMemorySystem::new(RomeSystemConfig::with_channels(2));
         sys.submit(MemoryRequest::read(1, 0, 64 * 1024, 0));
         sys.submit(MemoryRequest::write(2, 1 << 20, 64 * 1024, 0));
-        let (done, _) = sys.run_until_idle(5_000_000);
+        let (done, _, _) = sys.run_until_idle(5_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 2);
         let stats = sys.stats();
         assert_eq!(stats.bytes_read, 64 * 1024);

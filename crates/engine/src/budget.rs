@@ -333,8 +333,8 @@ impl PartialEq for TraceSink {
 
 /// Consecutive fully-idle driver wake-ups (nothing pulled, nothing issued,
 /// nothing completed, controller idle, no pending requests, source not
-/// exhausted) after which `run_with_source` declares the source stalled and
-/// aborts with [`AbortReason::StalledSource`]. The `TrafficSource` contract
+/// exhausted) after which a source-driven loop declares the source stalled
+/// and aborts with [`AbortReason::StalledSource`]. The `TrafficSource` contract
 /// allows spuriously early `next_arrival_at` lower bounds, so a handful of
 /// idle wake-ups is legal; tens of thousands in a row with no progress means
 /// the source is promising an arrival it will never deliver.

@@ -9,9 +9,10 @@
 //! * the **[`MemoryController`] trait** — the contract (enqueue, tick,
 //!   `next_event_at`, idleness, admission, stats snapshot) that lets one
 //!   driver run any controller ([`controller`]);
-//! * the generic **single-channel drivers** — event-driven
-//!   [`simulate::run_with_limit`] and the cycle-stepped equivalence baseline
-//!   [`simulate::run_with_limit_stepped`], producing one unified
+//! * the generic **single-channel drivers** — one event-driven loop,
+//!   [`simulate::run_with_source_budgeted`], which the vector drivers
+//!   [`simulate::run_with_budget`] and [`simulate::run_to_completion`]
+//!   reach through [`ReplaySource`], producing one unified
 //!   [`simulate::SimulationReport`] ([`simulate`]);
 //! * the generic **[`MultiChannelSystem`]** — fragmentation, steering,
 //!   backlog back-pressure, host-completion reassembly, a global-clock tick
@@ -19,8 +20,8 @@
 //!   ([`system`]);
 //! * the **[`TrafficSource`] trait** and [`ReplaySource`] — lazily generated
 //!   request streams whose arrivals merge into the event horizon, driven by
-//!   [`simulate::run_with_source`] (single controller) and
-//!   [`MultiChannelSystem::run_with_source`] (whole system), with
+//!   [`simulate::run_with_source_budgeted`] (single controller) and
+//!   [`MultiChannelSystem::run_with_source_budgeted`] (whole system), with
 //!   completions fed back for closed-loop load generation ([`source`]). The
 //!   scenario generators themselves (MoE routing skew, prefill/decode
 //!   interleave, multi-tenant mixes) live in the `rome-workload` crate.
@@ -44,8 +45,8 @@
 //! change. Drivers that tick at every reported cycle therefore execute the
 //! exact command schedule of a cycle-by-cycle loop — spurious wake-ups are
 //! harmless, missed events are impossible — which is what lets the
-//! regression suite pin bit-identical simulation reports between the two
-//! driving styles.
+//! regression suite pin bit-identical simulation reports against a
+//! test-only cycle-stepped reference.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -63,25 +64,6 @@ pub mod system;
 /// so controller crates (which depend on the engine, not on telemetry) can
 /// record [`trace::TraceEvent`]s without a new dependency edge.
 pub use rome_telemetry::trace;
-
-/// Convenient glob-import of the most commonly used types.
-pub mod prelude {
-    pub use crate::budget::{
-        AbortReason, BudgetMeter, DrainSignal, EngineFault, FaultAction, RunBudget, RunSink,
-        TraceSink,
-    };
-    pub use crate::completion::CompletionQueue;
-    pub use crate::controller::{MemoryController, StatsSnapshot};
-    pub use crate::events::EventHorizon;
-    pub use crate::request::{CompletedRequest, MemoryRequest, RequestId, RequestKind};
-    pub use crate::simulate::{
-        merge_reports, report_from_host_completions, run_to_completion, run_with_budget,
-        run_with_limit, run_with_limit_stepped, run_with_source, run_with_source_budgeted,
-        SimulationReport,
-    };
-    pub use crate::source::{ReplaySource, TrafficSource};
-    pub use crate::system::{run_cubes, HostCompletion, MultiChannelSystem};
-}
 
 pub use budget::{
     AbortReason, BudgetMeter, DrainSignal, EngineFault, FaultAction, RunBudget, RunSink, TraceSink,

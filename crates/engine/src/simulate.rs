@@ -6,33 +6,37 @@
 //! design-space experiments and as calibration kernels by `rome-sim`, for
 //! both the conventional HBM4 controller and the RoMe controller.
 //!
+//! # Drivers
+//!
+//! There is one single-controller event loop, [`run_with_source_budgeted`],
+//! which drives any [`TrafficSource`]. The vector drivers are that loop over
+//! a [`ReplaySource`]: [`run_with_budget`] takes a time limit and a
+//! [`RunBudget`], and [`run_to_completion`] is [`run_with_budget`] with the
+//! 50 ms safety limit and [`RunBudget::unlimited`].
+//!
 //! # Event-driven time skipping
 //!
-//! The default driver ([`run_to_completion`] / [`run_with_limit`]) is
-//! *event-driven*: after a tick in which the controller issued nothing and no
-//! new request can arrive, it asks [`MemoryController::next_event_at`] for
-//! the next cycle at which any state can change (a data burst completing, a
-//! timing constraint expiring, a refresh coming due) and jumps straight
-//! there, instead of burning one no-op `tick` per nanosecond. Because
-//! `next_event_at` lower-bounds the next state change, the event-driven
-//! driver executes the exact command schedule of the cycle-stepped loop and
-//! produces bit-identical [`SimulationReport`]s — the regression suite in
-//! `tests/event_driven_equivalence.rs` pins this.
-//!
-//! The original cycle-by-cycle loop is kept as [`run_with_limit_stepped`],
-//! the equivalence baseline; perfbench's `engine.events` and
-//! `engine.idle_frac` count the work the event-driven driver does instead.
+//! After a tick in which the controller issued nothing and no new request
+//! can enqueue, the loop asks [`MemoryController::next_event_at`] (and the
+//! source's [`TrafficSource::next_arrival_at`]) for the next cycle at which
+//! any state can change (a data burst completing, a timing constraint
+//! expiring, a refresh coming due, a request arriving) and jumps straight
+//! there, instead of burning one no-op `tick` per nanosecond. Because both
+//! hints lower-bound the next state change, the loop executes the exact
+//! command schedule of a cycle-by-cycle loop and produces bit-identical
+//! [`SimulationReport`]s — `tests/event_driven_equivalence.rs` pins this
+//! against a test-only stepped reference. perfbench's `engine.events` and
+//! `engine.idle_frac` count the work the event-driven loop does.
 //!
 //! # Bounded runs
 //!
-//! Every driver also comes in a budgeted flavor ([`run_with_budget`],
-//! [`run_with_source_budgeted`]) that meters the loop against a
-//! [`RunBudget`] — simulated-time, event-count, and wall-clock limits plus
-//! the deterministic fault-injection hooks. A tripped limit stops the loop
-//! and tags the partial report via [`SimulationReport::aborted`]; the
-//! unbudgeted entry points delegate with [`RunBudget::unlimited`], which is
-//! pinned to be bit-identical to the pre-budget drivers (no limit trips, no
-//! report is tagged, the legacy `max_ns` cutoff stays untagged).
+//! The loop is metered against a [`RunBudget`]: simulated-time,
+//! event-count, and wall-clock limits plus the deterministic
+//! fault-injection hooks. A tripped limit stops the loop and tags the
+//! partial report via [`SimulationReport::aborted`].
+//! [`RunBudget::unlimited`] trips nothing and tags nothing. The `max_ns`
+//! cutoff leaves the report untagged, so a caller that needs a finished run
+//! checks it with [`SimulationReport::expect_complete`].
 
 use std::collections::VecDeque;
 
@@ -45,7 +49,7 @@ use rome_telemetry::LatencyHistogram;
 use crate::budget::{AbortReason, RunBudget, STALLED_SOURCE_WAKEUPS};
 use crate::controller::MemoryController;
 use crate::request::{MemoryRequest, RequestKind};
-use crate::source::TrafficSource;
+use crate::source::{ReplaySource, TrafficSource};
 use crate::system::HostCompletion;
 
 /// Summary of one single-channel run, identical in shape for every
@@ -84,8 +88,8 @@ pub struct SimulationReport {
     /// Distribution of per-request end-to-end read latencies in simulated ns
     /// (enqueue to completion), as a mergeable log₂-bucket histogram —
     /// p50/p95/p99/max alongside the `mean_read_latency` mean. Sim-time data
-    /// only, so it is deterministic: bit-identical run-to-run and across the
-    /// event-driven/stepped drivers. Empty when
+    /// only, so it is deterministic: bit-identical run-to-run and against
+    /// the stepped reference. Empty when
     /// [`rome_telemetry::sim_sampling`] is off (the default stays on), which
     /// is pinned to leave every other field untouched.
     pub read_latency: LatencyHistogram,
@@ -103,11 +107,26 @@ impl SimulationReport {
         self.read_latency = read_latency;
         self
     }
+
+    /// This report, checked to cover a finished run: all `requests`
+    /// completed and no budget limit tripped. A run cut short — by its
+    /// `max_ns` limit, which leaves the report untagged, or by an abort —
+    /// panics with a message naming `run`, so a table or a calibration
+    /// never passes a partial run off as a result.
+    pub fn expect_complete(self, requests: usize, run: impl std::fmt::Display) -> Self {
+        assert!(
+            self.requests_completed == requests as u64 && self.aborted.is_none(),
+            "{run}: incomplete run, {} of {requests} requests completed (abort: {:?})",
+            self.requests_completed,
+            self.aborted
+        );
+        self
+    }
 }
 
-/// Drive `controller` with `requests`, enqueueing as fast as the queues
-/// accept, until every request has completed or an internal safety limit of
-/// 50 ms elapses.
+/// Drive `controller` with `requests` until every request has completed or
+/// an internal safety limit of 50 ms elapses: [`run_with_budget`] with
+/// [`RunBudget::unlimited`].
 ///
 /// Requests are offered in order; a request whose queue is full simply waits
 /// (back-pressure), which is how a DMA engine behaves.
@@ -115,41 +134,31 @@ pub fn run_to_completion<C: MemoryController>(
     controller: &mut C,
     requests: Vec<MemoryRequest>,
 ) -> SimulationReport {
-    run_with_limit(controller, requests, 50_000_000)
+    run_with_budget(controller, requests, 50_000_000, &RunBudget::unlimited())
 }
 
-/// Like [`run_to_completion`] but with an explicit time limit in ns.
-/// Event-driven: skips directly between cycles where state can change.
-pub fn run_with_limit<C: MemoryController>(
-    controller: &mut C,
-    requests: Vec<MemoryRequest>,
-    max_ns: Cycle,
-) -> SimulationReport {
-    drive(controller, requests, max_ns, false, &RunBudget::unlimited())
-}
-
-/// Like [`run_with_limit`] but metered against a [`RunBudget`]: the run
-/// stops as soon as a budget limit trips (or an armed fault fires) and the
-/// partial report is tagged via [`SimulationReport::aborted`]. With
-/// [`RunBudget::unlimited`] this is bit-identical to [`run_with_limit`].
+/// Drive `controller` with `requests` until every request has completed or
+/// `max_ns` elapses, metered against `budget`: the run stops as soon as a
+/// budget limit trips (or an armed fault fires) and the partial report is
+/// tagged via [`SimulationReport::aborted`]. A `max_ns` cutoff leaves the
+/// report untagged.
+///
+/// This is [`run_with_source_budgeted`] over [`ReplaySource::from`]
+/// `(requests)`: each request is released at its `arrival` cycle (clamped
+/// to keep submission order) and offered as fast as the queues accept it.
+/// The vector's buffer becomes the loop's pending queue without a copy.
 pub fn run_with_budget<C: MemoryController>(
     controller: &mut C,
     requests: Vec<MemoryRequest>,
     max_ns: Cycle,
     budget: &RunBudget,
 ) -> SimulationReport {
-    drive(controller, requests, max_ns, false, budget)
-}
-
-/// The original cycle-by-cycle driver: identical behaviour to
-/// [`run_with_limit`], advancing time one nanosecond per iteration. Kept as
-/// the equivalence baseline and for wall-clock comparison benches.
-pub fn run_with_limit_stepped<C: MemoryController>(
-    controller: &mut C,
-    requests: Vec<MemoryRequest>,
-    max_ns: Cycle,
-) -> SimulationReport {
-    drive(controller, requests, max_ns, true, &RunBudget::unlimited())
+    run_with_source_budgeted(
+        controller,
+        &mut ReplaySource::from(requests),
+        max_ns,
+        budget,
+    )
 }
 
 /// Arm `controller`'s flight recorder from the budget's trace sink (when one
@@ -199,122 +208,22 @@ fn harvest_trace<C: MemoryController>(
     }
 }
 
-fn drive<C: MemoryController>(
-    controller: &mut C,
-    requests: Vec<MemoryRequest>,
-    max_ns: Cycle,
-    stepped: bool,
-    budget: &RunBudget,
-) -> SimulationReport {
-    let total = requests.len() as u64;
-    let mut pending = requests.into_iter().peekable();
-    let mut now: Cycle = 0;
-    let mut completed = 0u64;
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut finish_time = 0;
-    let mut completions = Vec::new();
-    let mut meter = budget.meter();
-    let mut aborted = None;
-    // Sampling is latched once per run: toggling it mid-run must not produce
-    // a half-populated histogram.
-    let sampling = rome_telemetry::sim_sampling();
-    let mut read_latency = LatencyHistogram::new();
-    let mut idle_steps: u64 = 0;
-    let mut recorder = arm_trace(controller, budget);
-
-    while (completed < total || !controller.is_idle()) && now < max_ns {
-        if let Some(reason) = meter.on_step(now) {
-            aborted = Some(reason);
-            break;
-        }
-        // Offer as many pending requests as the queues accept this cycle.
-        while let Some(next) = pending.peek() {
-            if controller.slots_free_for(next.kind) == 0 {
-                break;
-            }
-            let mut req = *next;
-            req.arrival = now;
-            if recorder.enabled() {
-                record_arrival(&mut recorder, &req, next.arrival, now);
-            }
-            let ok = controller.enqueue(req);
-            debug_assert!(ok, "enqueue must succeed when a slot is free");
-            pending.next();
-        }
-        let issued = controller.tick_into(now, &mut completions);
-        for done in completions.drain(..) {
-            completed += 1;
-            finish_time = finish_time.max(done.completed);
-            match done.kind {
-                RequestKind::Read => {
-                    bytes_read += done.bytes;
-                    if sampling {
-                        read_latency.record(done.completed.saturating_sub(done.arrival));
-                    }
-                }
-                RequestKind::Write => bytes_written += done.bytes,
-            }
-        }
-        // A request can arrive at now + 1 only if the head of the pending
-        // stream already has a free slot (back-pressure is in order).
-        let arrival_next = pending
-            .peek()
-            .is_some_and(|next| controller.slots_free_for(next.kind) > 0);
-        idle_steps += (!issued) as u64;
-        now = if stepped || issued || arrival_next {
-            now + 1
-        } else {
-            controller
-                .next_event_at(now)
-                .map_or(now + 1, |t| t.max(now + 1))
-        };
-    }
-
-    if let Some(sink) = &budget.sink {
-        sink.on_run_end(meter.events(), idle_steps, aborted);
-    }
-    harvest_trace(controller, budget, recorder);
-    assemble_report(
-        controller,
-        completed,
-        bytes_read,
-        bytes_written,
-        finish_time,
-    )
-    .with_abort(aborted)
-    .with_read_latency(read_latency)
-}
-
-/// Drive `controller` from a lazy [`TrafficSource`] instead of a
-/// materialized request vector, until the source is exhausted and every
-/// pulled request has completed, or `max_ns` elapses.
+/// Drive `controller` from a [`TrafficSource`] until the source is
+/// exhausted and every pulled request has completed, or `max_ns` elapses,
+/// metered against `budget`. This is the one single-controller event loop:
+/// [`run_with_budget`] and [`run_to_completion`] replay vectors through it.
 ///
-/// The driver merges the source into the event horizon: after a tick in
-/// which nothing was issued and no pulled request can enqueue, it jumps to
-/// the earlier of [`MemoryController::next_event_at`] and
+/// After a tick in which nothing was issued and no pulled request can
+/// enqueue, the loop jumps to the earlier of
+/// [`MemoryController::next_event_at`] and
 /// [`TrafficSource::next_arrival_at`]. Completions are fed back to the
 /// source via [`TrafficSource::on_completion`] (as single-fragment
 /// [`HostCompletion`]s), which is what closed-loop sources key their next
 /// release on.
 ///
-/// For `ReplaySource::from(vec)` over a vector whose arrivals are all at
-/// cycle 0 — the shape every synthetic generator produces — this executes
-/// the exact schedule of [`run_with_limit`] on the same vector and returns a
-/// bit-identical [`SimulationReport`]; the regression suite pins this for
-/// both memory systems.
-pub fn run_with_source<C: MemoryController, S: TrafficSource>(
-    controller: &mut C,
-    source: &mut S,
-    max_ns: Cycle,
-) -> SimulationReport {
-    run_with_source_budgeted(controller, source, max_ns, &RunBudget::unlimited())
-}
-
-/// Like [`run_with_source`] but metered against a [`RunBudget`], and with
-/// stall detection that is active even under an unlimited budget: a source
-/// that keeps promising an arrival which never becomes pullable (or that
-/// waits on a completion no in-flight work can deliver) aborts the run with
+/// Stall detection is active even under an unlimited budget: a source that
+/// keeps promising an arrival which never becomes pullable (or that waits
+/// on a completion no in-flight work can deliver) aborts the run with
 /// [`AbortReason::StalledSource`] instead of spinning to `max_ns`. Spurious
 /// early wake-ups are legal under the [`TrafficSource`] contract, so the
 /// stall verdict needs [`STALLED_SOURCE_WAKEUPS`] consecutive fully idle
@@ -343,19 +252,28 @@ pub fn run_with_source_budgeted<C: MemoryController, S: TrafficSource>(
     let mut recorder = arm_trace(controller, budget);
 
     loop {
+        source.pull_into(now, &mut pulled);
+        let pulled_any = !pulled.is_empty();
+        if pulled_any && pending.is_empty() {
+            // Adopt the pulled buffer as the queue, so a replayed vector
+            // handed over whole is never copied, and keep the old queue's
+            // allocation for the next pull.
+            let spare = Vec::from(std::mem::take(&mut pending));
+            pending = VecDeque::from(std::mem::replace(&mut pulled, spare));
+        } else if pulled_any {
+            pending.extend(pulled.drain(..));
+        }
+        // The exit test comes before the meter, so the step that finds the
+        // run finished is not counted as an event.
+        if (pending.is_empty() && source.is_exhausted() && controller.is_idle()) || now >= max_ns {
+            break;
+        }
         if let Some(reason) = meter.on_step(now) {
             aborted = Some(reason);
             break;
         }
-        let backlog_before = pending.len();
-        source.pull_into(now, &mut pulled);
-        pending.extend(pulled.drain(..));
-        let pulled_any = pending.len() > backlog_before;
-        if (pending.is_empty() && source.is_exhausted() && controller.is_idle()) || now >= max_ns {
-            break;
-        }
         // Offer as many pulled requests as the queues accept this cycle, in
-        // order (back-pressure, exactly as the materialized-vec driver).
+        // order (back-pressure).
         while let Some(next) = pending.front() {
             if controller.slots_free_for(next.kind) == 0 {
                 break;
@@ -442,26 +360,6 @@ pub fn run_with_source_budgeted<C: MemoryController, S: TrafficSource>(
         sink.on_run_end(meter.events(), idle_steps, aborted);
     }
     harvest_trace(controller, budget, recorder);
-    assemble_report(
-        controller,
-        completed,
-        bytes_read,
-        bytes_written,
-        finish_time,
-    )
-    .with_abort(aborted)
-    .with_read_latency(read_latency)
-}
-
-/// Fold the driver-side counters and the controller's statistics snapshot
-/// into the unified report (shared by every driving style).
-fn assemble_report<C: MemoryController>(
-    controller: &C,
-    completed: u64,
-    bytes_read: u64,
-    bytes_written: u64,
-    finish_time: Cycle,
-) -> SimulationReport {
     report_from_stats(
         &controller.stats_snapshot(),
         completed,
@@ -469,6 +367,8 @@ fn assemble_report<C: MemoryController>(
         bytes_written,
         finish_time,
     )
+    .with_abort(aborted)
+    .with_read_latency(read_latency)
 }
 
 /// Fold driver-side counters and a (possibly channel-merged)

@@ -29,10 +29,10 @@
 //!   become available again (not even via future completions).
 //!
 //! [`ReplaySource`] adapts any materialized `Vec<MemoryRequest>` to this
-//! trait, which makes every existing experiment a special case of the
-//! streaming path — the regression suite pins that
-//! `run_with_source(ReplaySource::from(vec))` is bit-identical to the
-//! materialized-vec drivers.
+//! trait, which makes every vector experiment a special case of the
+//! streaming path: the single-controller vector drivers replay their input
+//! through it, and the regression suite pins the replayed runs against a
+//! cycle-stepped reference.
 
 use std::collections::VecDeque;
 
@@ -86,18 +86,26 @@ impl<S: TrafficSource + ?Sized> TrafficSource for Box<S> {
 }
 
 /// Streams a materialized request vector through the [`TrafficSource`]
-/// interface: each request becomes available at its recorded `arrival` cycle
-/// (clamped so availability is non-decreasing in submission order, matching
-/// the in-order back-pressure of the materialized-vec drivers).
+/// interface: each request becomes available at its recorded `arrival` cycle,
+/// clamped so availability is non-decreasing in submission order (a request
+/// is never released before its predecessor).
 ///
-/// `ReplaySource::from(vec)` makes every existing experiment a special case
-/// of the streaming path; for the all-arrivals-at-0 vectors the synthetic
-/// generators produce, `run_with_source` is bit-identical to
-/// `run_to_completion` on the same vector.
+/// This is how the vector drivers (`simulate::run_with_budget`,
+/// `simulate::run_to_completion`) reach the one single-controller loop, so
+/// it copies nothing: the caller's `Vec` becomes the replay's `VecDeque` in
+/// O(1), release times come from a running watermark rather than a stored
+/// cycle per request, and once everything left is due a pull into an empty
+/// `out` hands over the whole buffer.
 #[derive(Debug, Clone)]
 pub struct ReplaySource {
-    /// Remaining requests with their effective (order-clamped) arrivals.
-    queue: VecDeque<(Cycle, MemoryRequest)>,
+    /// Requests not yet pulled, in submission order.
+    queue: VecDeque<MemoryRequest>,
+    /// Release cycle of the last pulled request: the front request is
+    /// available at `max(arrival, watermark)`.
+    watermark: Cycle,
+    /// Release cycle of the final request, the largest arrival: from this
+    /// cycle on everything left is due.
+    last_release: Cycle,
 }
 
 impl ReplaySource {
@@ -105,15 +113,12 @@ impl ReplaySource {
     /// becomes available at its `arrival` cycle, or at its predecessor's
     /// availability if that is later (order is never violated).
     pub fn new(requests: Vec<MemoryRequest>) -> Self {
-        let mut watermark: Cycle = 0;
-        let queue = requests
-            .into_iter()
-            .map(|r| {
-                watermark = watermark.max(r.arrival);
-                (watermark, r)
-            })
-            .collect();
-        ReplaySource { queue }
+        let last_release = requests.iter().map(|r| r.arrival).max().unwrap_or(0);
+        ReplaySource {
+            queue: VecDeque::from(requests),
+            watermark: 0,
+            last_release,
+        }
     }
 
     /// Requests not yet pulled.
@@ -130,16 +135,24 @@ impl From<Vec<MemoryRequest>> for ReplaySource {
 
 impl TrafficSource for ReplaySource {
     fn next_arrival_at(&self) -> Option<Cycle> {
-        self.queue.front().map(|(at, _)| *at)
+        self.queue.front().map(|r| r.arrival.max(self.watermark))
     }
 
     fn pull_into(&mut self, now: Cycle, out: &mut Vec<MemoryRequest>) {
-        while let Some((at, _)) = self.queue.front() {
-            if *at > now {
+        if now >= self.last_release && out.is_empty() && !self.queue.is_empty() {
+            // Everything left is due: hand the buffer over instead of
+            // copying it request by request.
+            self.watermark = self.last_release;
+            *out = Vec::from(std::mem::take(&mut self.queue));
+            return;
+        }
+        while let Some(front) = self.queue.front() {
+            let at = front.arrival.max(self.watermark);
+            if at > now {
                 break;
             }
-            let (_, req) = self.queue.pop_front().expect("front exists");
-            out.push(req);
+            self.watermark = at;
+            out.extend(self.queue.pop_front());
         }
     }
 
@@ -171,6 +184,52 @@ mod tests {
         assert_eq!(out.len(), 3, "clamped request released with predecessor");
         assert!(src.is_exhausted());
         assert_eq!(src.next_arrival_at(), None);
+    }
+
+    #[test]
+    fn a_due_replay_hands_its_whole_buffer_to_an_empty_out() {
+        let reqs: Vec<MemoryRequest> = (0..64)
+            .map(|i| MemoryRequest::read(i + 1, i * 32, 32, i % 3))
+            .collect();
+        let (ptr, ids) = (reqs.as_ptr(), reqs.iter().map(|r| r.id).collect::<Vec<_>>());
+        let mut src = ReplaySource::from(reqs);
+        let mut out = Vec::new();
+        src.pull_into(2, &mut out);
+        assert_eq!(out.as_ptr(), ptr, "the caller's buffer, not a copy");
+        assert_eq!(out.iter().map(|r| r.id).collect::<Vec<_>>(), ids);
+        assert!(src.is_exhausted());
+        assert_eq!(src.next_arrival_at(), None);
+    }
+
+    #[test]
+    fn handover_keeps_order_and_clamping_after_partial_pulls() {
+        let reqs = vec![
+            MemoryRequest::read(1, 0, 32, 0),
+            MemoryRequest::read(2, 32, 32, 20),
+            MemoryRequest::read(3, 64, 32, 5), // clamped to 20
+            MemoryRequest::read(4, 96, 32, 30),
+        ];
+        let mut src = ReplaySource::from(reqs);
+        let mut out = Vec::new();
+        src.pull_into(10, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(src.next_arrival_at(), Some(20));
+        // A non-empty `out` is appended to, never replaced.
+        src.pull_into(20, &mut out);
+        assert_eq!(out.iter().map(|r| r.id.0).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(src.next_arrival_at(), Some(30));
+        // Everything left is due and `out` is empty: the rest comes whole.
+        out.clear();
+        src.pull_into(25, &mut out);
+        assert!(out.is_empty(), "request 4 is not due before cycle 30");
+        src.pull_into(30, &mut out);
+        assert_eq!(out.iter().map(|r| r.id.0).collect::<Vec<_>>(), [4]);
+        assert!(src.is_exhausted());
+        // An exhausted replay leaves `out` (and its allocation) alone.
+        let capacity = out.capacity();
+        out.clear();
+        src.pull_into(40, &mut out);
+        assert_eq!(out.capacity(), capacity);
     }
 
     #[test]

@@ -40,11 +40,13 @@
 //!
 //! # Drivers
 //!
-//! Two driving styles are provided:
+//! Two driving styles are provided, each metered against a [`RunBudget`]:
 //!
-//! * the per-cycle path — [`MultiChannelSystem::tick_into`] +
-//!   [`MultiChannelSystem::next_event_at`] — advances every channel under one
-//!   global clock and may skip provably idle cycles;
+//! * the global clock — [`MultiChannelSystem::tick_into`] +
+//!   [`MultiChannelSystem::next_event_at`] advance every channel under one
+//!   clock and may skip provably idle cycles;
+//!   [`MultiChannelSystem::run_with_source_budgeted`] is that loop fed by a
+//!   [`TrafficSource`];
 //! * [`MultiChannelSystem::run_until_idle`] exploits that channels share no
 //!   state once fragments are steered: every channel runs its own
 //!   event-driven loop to completion, in parallel across cores (rayon), and
@@ -242,16 +244,6 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         request.id
     }
 
-    /// Advance the whole system by one nanosecond.
-    ///
-    /// Allocates a fresh completion vector per call; hot loops should prefer
-    /// [`MultiChannelSystem::tick_into`] with a reused buffer.
-    pub fn tick(&mut self, now: Cycle) -> Vec<HostCompletion> {
-        let mut completions = Vec::new();
-        self.tick_into(now, &mut completions);
-        completions
-    }
-
     /// Drain every currently admissible backlogged fragment, marking each
     /// channel that received work dirty (`wakeups[ch] = 0`): new work
     /// invalidates the cached wakeup, so the channel must be ticked this
@@ -394,8 +386,9 @@ impl<C: MemoryController> MultiChannelSystem<C> {
 
     /// Drive the system from a lazy [`TrafficSource`] under the global event
     /// loop until the source is exhausted and every submitted request has
-    /// completed, or `max_ns` elapses. Returns the host completions in
-    /// completion order and the cycle the run stopped at.
+    /// completed, or `max_ns` elapses, metered against `budget`. Returns the
+    /// host completions in completion order, the cycle the run stopped at
+    /// and the abort reason, if any.
     ///
     /// Pulled requests are fragmented at `granularity` and steered with
     /// `decode` exactly like [`MultiChannelSystem::submit_with`]; host
@@ -406,37 +399,16 @@ impl<C: MemoryController> MultiChannelSystem<C> {
     /// [`TrafficSource::next_arrival_at`], so idle gaps between arrivals are
     /// skipped, not ticked through.
     ///
+    /// Stall detection is active even under [`RunBudget::unlimited`]: a
+    /// source that keeps promising an arrival which never becomes pullable,
+    /// or that waits on a completion no in-flight work can deliver, aborts
+    /// with [`AbortReason::StalledSource`] after [`STALLED_SOURCE_WAKEUPS`]
+    /// consecutive fully idle wake-ups instead of spinning to `max_ns`.
+    ///
     /// For a `ReplaySource` over a vector whose arrivals are all at cycle 0,
     /// this executes the exact schedule of submitting the whole vector up
     /// front and running the event loop — the regression suite pins
     /// bit-identical completions for both memory systems.
-    pub fn run_with_source<S: TrafficSource>(
-        &mut self,
-        source: &mut S,
-        granularity: u64,
-        max_ns: Cycle,
-        decode: impl FnMut(MemoryRequest) -> (u16, C::Entry),
-    ) -> (Vec<HostCompletion>, Cycle) {
-        let (completions, stop, _) = self.run_with_source_budgeted(
-            source,
-            granularity,
-            max_ns,
-            decode,
-            &RunBudget::unlimited(),
-        );
-        (completions, stop)
-    }
-
-    /// Like [`MultiChannelSystem::run_with_source`] but metered against a
-    /// [`RunBudget`], returning the abort reason (if any) alongside the
-    /// completions. Stall detection is active even under an unlimited
-    /// budget: a source that keeps promising an arrival which never becomes
-    /// pullable, or that waits on a completion no in-flight work can
-    /// deliver, aborts with [`AbortReason::StalledSource`] after
-    /// [`STALLED_SOURCE_WAKEUPS`] consecutive fully idle wake-ups instead of
-    /// spinning to `max_ns`. With [`RunBudget::unlimited`] and a live source
-    /// the completions and stop cycle are bit-identical to
-    /// [`MultiChannelSystem::run_with_source`].
     pub fn run_with_source_budgeted<S: TrafficSource>(
         &mut self,
         source: &mut S,
@@ -547,38 +519,27 @@ impl<C: MemoryController> MultiChannelSystem<C> {
         }
     }
 
-    /// Run until all submitted requests complete or `max_ns` elapses;
-    /// returns the completions (sorted by completion time, then id) and the
-    /// cycle the run stopped at.
+    /// Run until all submitted requests complete or `max_ns` elapses,
+    /// metered against `budget`; returns the completions (sorted by
+    /// completion time, then id), the cycle the run stopped at and the
+    /// abort reason, if any.
     ///
     /// Channels share no state once fragments are steered, so each channel
     /// runs its own event-driven loop to completion — in parallel across
     /// channels — and the fragment completions are merged into host
     /// completions afterwards. Totals (completion counts, bytes, per-channel
-    /// byte distribution) match the per-cycle [`MultiChannelSystem::tick`]
-    /// path exactly; per-request completion *times* may differ slightly
-    /// because each channel admits its own backlog as fast as its queues
-    /// allow instead of once per global cycle. The equivalence suite pins
-    /// the invariants.
-    pub fn run_until_idle(&mut self, max_ns: Cycle) -> (Vec<HostCompletion>, Cycle)
-    where
-        C: Send,
-    {
-        let (completions, stop, _) = self.run_until_idle_budgeted(max_ns, &RunBudget::unlimited());
-        (completions, stop)
-    }
-
-    /// Like [`MultiChannelSystem::run_until_idle`] but metered against a
-    /// [`RunBudget`], returning the abort reason (if any) alongside the
-    /// completions. Each channel worker meters independently against its own
-    /// [`crate::budget::BudgetMeter`] (the channels share no state), so
-    /// [`RunBudget::max_events`] bounds events *per channel*; the returned
-    /// reason is the first aborting channel's, in channel order. Channels
-    /// that aborted park their unfinished work in the backlog exactly like a
-    /// `max_ns` cutoff, so a later run can resume it. With
-    /// [`RunBudget::unlimited`] this is bit-identical to
-    /// [`MultiChannelSystem::run_until_idle`].
-    pub fn run_until_idle_budgeted(
+    /// byte distribution) match the per-cycle
+    /// [`MultiChannelSystem::tick_into`] path exactly; per-request
+    /// completion *times* may differ slightly because each channel admits
+    /// its own backlog as fast as its queues allow instead of once per
+    /// global cycle. The equivalence suite pins the invariants.
+    ///
+    /// Each channel worker meters independently against its own
+    /// [`crate::budget::BudgetMeter`], so [`RunBudget::max_events`] bounds
+    /// events *per channel*; the returned reason is the first aborting
+    /// channel's, in channel order. Channels that stopped early park their
+    /// unfinished work in the backlog, so a later run can resume it.
+    pub fn run_until_idle(
         &mut self,
         max_ns: Cycle,
         budget: &RunBudget,

@@ -25,15 +25,15 @@
 //! # Example
 //!
 //! ```
-//! use rome_mc::prelude::*;
+//! use rome_mc::{ChannelController, ControllerConfig};
 //!
 //! // Single-channel controller with the default HBM4 configuration.
 //! let config = ControllerConfig::hbm4_baseline();
 //! let mut ctrl = ChannelController::new(config);
 //!
-//! // Stream 4 KiB of reads through it.
+//! // Stream 4 KiB of reads through it with the engine's generic driver.
 //! let reqs = rome_mc::workload::streaming_reads(0x0, 4096, 32);
-//! let report = rome_mc::simulate::run_to_completion(&mut ctrl, reqs);
+//! let report = rome_engine::simulate::run_to_completion(&mut ctrl, reqs);
 //! assert_eq!(report.bytes_read, 4096);
 //! assert!(report.achieved_bandwidth_gbps > 0.0);
 //! ```
@@ -45,24 +45,11 @@ pub mod controller;
 pub mod mapping;
 pub mod page_policy;
 pub mod queue;
-pub mod simulate;
 pub mod stats;
 pub mod system;
 pub mod workload;
 
 pub use rome_engine::request;
-
-/// Convenient glob-import of the most commonly used types.
-pub mod prelude {
-    pub use crate::controller::{ChannelController, ControllerConfig, SchedulingPolicy};
-    pub use crate::mapping::{AddressMapping, MappingField, MappingScheme};
-    pub use crate::page_policy::PagePolicy;
-    pub use crate::queue::{BankIndexer, RequestQueue};
-    pub use crate::request::{MemoryRequest, RequestId, RequestKind};
-    pub use crate::simulate::{run_to_completion, SimulationReport};
-    pub use crate::stats::ControllerStats;
-    pub use crate::system::{MemorySystem, MemorySystemConfig};
-}
 
 pub use controller::{ChannelController, ControllerConfig, SchedulingPolicy};
 pub use mapping::{AddressMapping, MappingField, MappingScheme};

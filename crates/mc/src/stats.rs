@@ -15,9 +15,9 @@ use rome_hbm::units::Cycle;
 /// a cycle-stepped driver that is one per nanosecond, while an event-driven
 /// driver skips provably idle nanoseconds, so those fields then count
 /// scheduling *opportunities* rather than wall nanoseconds (occupancy
-/// samples are correspondingly taken at event cycles only). Use
-/// `run_with_limit_stepped` when per-nanosecond stall/idle accounting is
-/// the quantity of interest.
+/// samples are correspondingly taken at event cycles only). Tick the
+/// controller every nanosecond yourself when per-nanosecond stall/idle
+/// accounting is the quantity of interest.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControllerStats {
     /// Completed read fragments.

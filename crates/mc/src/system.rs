@@ -149,14 +149,6 @@ impl MemorySystem {
         })
     }
 
-    /// Advance the whole system by one nanosecond.
-    ///
-    /// Allocates a fresh completion vector per call; hot loops should prefer
-    /// [`MemorySystem::tick_into`] with a reused buffer.
-    pub fn tick(&mut self, now: Cycle) -> Vec<HostCompletion> {
-        self.inner.tick(now)
-    }
-
     /// Advance the whole system by one nanosecond, appending completed host
     /// requests to `completions`. Returns `true` if any channel issued a
     /// DRAM command.
@@ -172,24 +164,18 @@ impl MemorySystem {
         self.inner.next_event_at(now)
     }
 
-    /// Run until all submitted requests complete or `max_ns` elapses; returns
-    /// the completions (sorted by completion time, then id) and the cycle the
-    /// run stopped at. Channels run their event-driven loops in parallel; see
+    /// Run until all submitted requests complete or `max_ns` elapses,
+    /// metered against `budget` (each channel meters independently); returns
+    /// the completions (sorted by completion time, then id), the cycle the
+    /// run stopped at and the abort reason, if any channel's budget tripped.
+    /// Channels run their event-driven loops in parallel; see
     /// [`rome_engine::MultiChannelSystem::run_until_idle`].
-    pub fn run_until_idle(&mut self, max_ns: Cycle) -> (Vec<HostCompletion>, Cycle) {
-        self.inner.run_until_idle(max_ns)
-    }
-
-    /// Like [`MemorySystem::run_until_idle`] but metered against a
-    /// [`rome_engine::RunBudget`] (each channel meters independently),
-    /// returning the abort reason if any channel's budget tripped; see
-    /// [`rome_engine::MultiChannelSystem::run_until_idle_budgeted`].
-    pub fn run_until_idle_budgeted(
+    pub fn run_until_idle(
         &mut self,
         max_ns: Cycle,
         budget: &rome_engine::RunBudget,
     ) -> (Vec<HostCompletion>, Cycle, Option<rome_engine::AbortReason>) {
-        self.inner.run_until_idle_budgeted(max_ns, budget)
+        self.inner.run_until_idle(max_ns, budget)
     }
 
     /// Drive the system from a lazy [`rome_engine::TrafficSource`] until the
@@ -197,7 +183,7 @@ impl MemorySystem {
     /// elapses. Completions are fed back to the source (closed-loop hosts
     /// key their next injection on them) and the source's arrivals merge
     /// into the event horizon; see
-    /// [`rome_engine::MultiChannelSystem::run_with_source`].
+    /// [`rome_engine::MultiChannelSystem::run_with_source_budgeted`].
     pub fn run_with_source<S: rome_engine::TrafficSource>(
         &mut self,
         source: &mut S,
@@ -241,6 +227,7 @@ impl MemorySystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rome_engine::RunBudget;
 
     fn small_system(channels: u16) -> MemorySystem {
         MemorySystem::new(MemorySystemConfig::hbm4(channels))
@@ -251,7 +238,7 @@ mod tests {
         let mut sys = small_system(4);
         let id = sys.submit(MemoryRequest::read(1, 0, 4096, 0));
         assert_eq!(id, RequestId(1));
-        let (done, t) = sys.run_until_idle(1_000_000);
+        let (done, t, _) = sys.run_until_idle(1_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].bytes, 4096);
         assert!(t > 0);
@@ -274,7 +261,7 @@ mod tests {
         let mut sys = small_system(2);
         sys.submit(MemoryRequest::read(1, 0, 1024, 0));
         sys.submit(MemoryRequest::write(2, 1 << 20, 1024, 0));
-        let (done, _) = sys.run_until_idle(1_000_000);
+        let (done, _, _) = sys.run_until_idle(1_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 2);
         let stats = sys.stats();
         assert_eq!(stats.bytes_read, 1024);
@@ -296,10 +283,10 @@ mod tests {
         // and a follow-up run completes the host request.
         let mut sys = small_system(2);
         sys.submit(MemoryRequest::read(1, 0, 256 * 1024, 0));
-        let (done, _) = sys.run_until_idle(200);
+        let (done, _, _) = sys.run_until_idle(200, &RunBudget::unlimited());
         assert!(done.is_empty());
         assert!(!sys.is_idle(), "truncated run must leave work pending");
-        let (done, _) = sys.run_until_idle(5_000_000);
+        let (done, _, _) = sys.run_until_idle(5_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].bytes, 256 * 1024);
         assert!(sys.is_idle());
@@ -310,7 +297,7 @@ mod tests {
     fn large_streaming_transfer_spreads_evenly() {
         let mut sys = small_system(4);
         sys.submit(MemoryRequest::read(1, 0, 64 * 1024, 0));
-        let (done, finish) = sys.run_until_idle(5_000_000);
+        let (done, finish, _) = sys.run_until_idle(5_000_000, &RunBudget::unlimited());
         assert_eq!(done.len(), 1);
         let per_chan = sys.bytes_per_channel();
         let max = *per_chan.iter().max().unwrap() as f64;

@@ -948,12 +948,12 @@ fn queue_depth_sweep(
                 MemorySystemKind::Hbm4 => {
                     let mut ctrl =
                         ChannelController::new(ControllerConfig::hbm4_with_queue_depth(depth));
-                    rome_mc::simulate::run_with_budget(&mut ctrl, reqs, 50_000_000, budget)
+                    rome_engine::simulate::run_with_budget(&mut ctrl, reqs, 50_000_000, budget)
                 }
                 MemorySystemKind::Rome | MemorySystemKind::RomeIsoBandwidth => {
                     let mut ctrl =
                         RomeController::new(RomeControllerConfig::with_queue_depth(depth));
-                    rome_core::simulate::run_with_budget(&mut ctrl, reqs, 50_000_000, budget)
+                    rome_engine::simulate::run_with_budget(&mut ctrl, reqs, 50_000_000, budget)
                 }
             };
             QueueDepthRow { depth, report }
@@ -984,7 +984,7 @@ fn run_multi_cube(
                 sys.submit(MemoryRequest::read(1, 0, bytes_per_cube, 0));
             }
             run_cubes(&mut systems, |_, sys| {
-                let (done, _, aborted) = sys.run_until_idle_budgeted(max_ns, budget);
+                let (done, _, aborted) = sys.run_until_idle(max_ns, budget);
                 report_from_host_completions(&sys.stats_snapshot(), &done).with_abort(aborted)
             })
         }
@@ -996,7 +996,7 @@ fn run_multi_cube(
                 sys.submit(MemoryRequest::read(1, 0, bytes_per_cube, 0));
             }
             run_cubes(&mut systems, |_, sys| {
-                let (done, _, aborted) = sys.run_until_idle_budgeted(max_ns, budget);
+                let (done, _, aborted) = sys.run_until_idle(max_ns, budget);
                 report_from_host_completions(&sys.stats_snapshot(), &done).with_abort(aborted)
             })
         }

@@ -24,11 +24,10 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use rome_core::controller::{RomeController, RomeControllerConfig};
-use rome_core::simulate as rome_simulate;
+use rome_engine::simulate::run_to_completion;
 use rome_mc::controller::{ChannelController, ControllerConfig};
 use rome_mc::mapping::MappingScheme;
 use rome_mc::request::MemoryRequest;
-use rome_mc::simulate as mc_simulate;
 
 use crate::memory_model::MemorySystemKind;
 
@@ -115,14 +114,24 @@ impl Calibrator {
         if let Some(r) = self.hbm4 {
             return r;
         }
-        let reqs = hbm4_calibration_trace();
         let base_cfg = ControllerConfig::hbm4_baseline();
         let mut best: Option<CalibrationResult> = None;
-        for mapping in MappingScheme::sweep_candidates(base_cfg.organization, 1) {
+        let candidates = MappingScheme::sweep_candidates(base_cfg.organization, 1);
+        for (i, mapping) in candidates.into_iter().enumerate() {
             let mut cfg = base_cfg.clone();
             cfg.mapping = mapping;
             let mut ctrl = ChannelController::new(cfg);
-            let report = mc_simulate::run_to_completion(&mut ctrl, reqs.clone());
+            // A fresh copy per candidate (the generator is deterministic),
+            // so only one copy of the trace is live at a time.
+            let reqs = hbm4_calibration_trace();
+            let requests = reqs.len();
+            let report = run_to_completion(&mut ctrl, reqs).expect_complete(
+                requests,
+                format_args!(
+                    "HBM4 calibration candidate {i} {:?}",
+                    ctrl.config().mapping.order()
+                ),
+            );
             let peak = ctrl.config().organization.channel_bandwidth_gbps();
             let candidate = CalibrationResult {
                 bandwidth_utilization: (report.achieved_bandwidth_gbps / peak).min(1.0),
@@ -154,7 +163,9 @@ impl Calibrator {
             row,
             CALIBRATION_SEED,
         );
-        let report = rome_simulate::run_to_completion(&mut ctrl, reqs);
+        let requests = reqs.len();
+        let report =
+            run_to_completion(&mut ctrl, reqs).expect_complete(requests, "RoMe calibration");
         let peak = ctrl.config().organization.channel_bandwidth_gbps();
         let result = CalibrationResult {
             bandwidth_utilization: (report.achieved_bandwidth_gbps / peak).min(1.0),
@@ -375,7 +386,7 @@ mod tests {
                 let mut cfg = base.clone();
                 cfg.mapping = mapping;
                 let mut ctrl = ChannelController::new(cfg);
-                mc_simulate::run_to_completion(&mut ctrl, hbm4_calibration_trace());
+                run_to_completion(&mut ctrl, hbm4_calibration_trace());
                 ctrl.stats().total_cycles
             })
             .collect();
@@ -447,7 +458,7 @@ mod tests {
                 ctrl: ChannelController::new(ControllerConfig::hbm4_baseline()),
                 channel,
             };
-            let report = mc_simulate::run_to_completion(&mut tagged, hbm4_calibration_trace());
+            let report = run_to_completion(&mut tagged, hbm4_calibration_trace());
             (report, tagged.ctrl.stats().clone())
         };
         let (report0, stats0) = run(0);

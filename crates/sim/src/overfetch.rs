@@ -10,7 +10,6 @@
 use serde::{Deserialize, Serialize};
 
 use rome_core::controller::{RomeController, RomeControllerConfig};
-use rome_core::simulate as rome_simulate;
 use rome_mc::request::MemoryRequest;
 
 /// One row of the overfetch sweep.
@@ -57,7 +56,7 @@ pub fn measure_rome_useful_bandwidth(size: u64) -> f64 {
     let requests: Vec<MemoryRequest> = (0..count)
         .map(|i| MemoryRequest::read(i, i * row, size.min(row), 0))
         .collect();
-    let report = rome_simulate::run_to_completion(&mut ctrl, requests);
+    let report = rome_engine::simulate::run_to_completion(&mut ctrl, requests);
     report.achieved_bandwidth_gbps
 }
 

@@ -37,8 +37,8 @@
 //!   / per-phase bandwidth and latency summaries.
 //!
 //! Drivers live next to the systems they drive:
-//! `rome_engine::simulate::run_with_source` for a single controller,
-//! `MultiChannelSystem::run_with_source` (wrapped by
+//! `rome_engine::simulate::run_with_source_budgeted` for a single
+//! controller, `MultiChannelSystem::run_with_source_budgeted` (wrapped by
 //! `MemorySystem::run_with_source` and `RomeMemorySystem::run_with_source`)
 //! for whole systems, and `rome_sim::serving` for closed-loop sweeps.
 

@@ -29,7 +29,7 @@ fn main() {
     let sink = TraceSink::new(TraceConfig::with_level(TraceLevel::Commands));
     let budget = RunBudget::unlimited().with_trace(sink.clone());
     let report =
-        rome::mc::simulate::run_with_budget(&mut controller, requests, 50_000_000, &budget);
+        rome::engine::simulate::run_with_budget(&mut controller, requests, 50_000_000, &budget);
 
     let trace = sink.take();
     let completions = trace

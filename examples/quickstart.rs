@@ -14,12 +14,14 @@ fn main() {
     // Conventional HBM4 channel: 32 B cache-line requests, FR-FCFS, 64-entry
     // queue.
     let mut hbm4 = ChannelController::new(ControllerConfig::hbm4_baseline());
-    let hbm4_report =
-        rome::mc::simulate::run_to_completion(&mut hbm4, workload::streaming_reads(0, bytes, 32));
+    let hbm4_report = rome::engine::simulate::run_to_completion(
+        &mut hbm4,
+        workload::streaming_reads(0, bytes, 32),
+    );
 
     // RoMe channel: 4 KB row-granularity requests, 4-entry queue.
     let mut rome_ctrl = RomeController::new(RomeControllerConfig::paper_default());
-    let rome_report = rome::core::simulate::run_to_completion(
+    let rome_report = rome::engine::simulate::run_to_completion(
         &mut rome_ctrl,
         workload::streaming_reads(0, bytes, 4096),
     );

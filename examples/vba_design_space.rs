@@ -21,7 +21,7 @@ fn main() {
         let controller_cfg = RomeControllerConfig::with_vba(cfg);
         let row_bytes = controller_cfg.row_bytes();
         let mut ctrl = RomeController::new(controller_cfg);
-        let report = rome::core::simulate::run_to_completion(
+        let report = rome::engine::simulate::run_to_completion(
             &mut ctrl,
             workload::streaming_reads(0, 4 * 1024 * 1024, row_bytes),
         );

@@ -4,6 +4,7 @@
 use rome::core::controller::{RomeController, RomeControllerConfig};
 use rome::core::system::{RomeMemorySystem, RomeSystemConfig};
 use rome::energy::dram_energy::EnergyParams;
+use rome::engine::RunBudget;
 use rome::llm::{decode_step, ModelConfig, Parallelism};
 use rome::mc::request::MemoryRequest;
 use rome::mc::system::{MemorySystem, MemorySystemConfig};
@@ -63,13 +64,13 @@ fn whole_cube_memory_systems_complete_the_same_transfer() {
     let bytes = 2 * 1024 * 1024u64;
     let mut conventional = MemorySystem::new(MemorySystemConfig::hbm4(4));
     conventional.submit(MemoryRequest::read(1, 0, bytes, 0));
-    let (done, t_conv) = conventional.run_until_idle(10_000_000);
+    let (done, t_conv, _) = conventional.run_until_idle(10_000_000, &RunBudget::unlimited());
     assert_eq!(done.len(), 1);
     assert_eq!(conventional.stats().bytes_read, bytes);
 
     let mut rome_sys = RomeMemorySystem::new(RomeSystemConfig::with_channels(4));
     rome_sys.submit(MemoryRequest::read(1, 0, bytes, 0));
-    let (done, t_rome) = rome_sys.run_until_idle(10_000_000);
+    let (done, t_rome, _) = rome_sys.run_until_idle(10_000_000, &RunBudget::unlimited());
     assert_eq!(done.len(), 1);
     assert_eq!(rome_sys.stats().bytes_read, bytes);
 
@@ -108,7 +109,7 @@ fn decode_traffic_drives_energy_and_lbr_consistently() {
 fn rome_channel_controller_saturates_with_the_table_iv_queue_depth() {
     // Table IV: two outstanding row requests saturate a RoMe channel.
     let mut ctrl = RomeController::new(RomeControllerConfig::with_queue_depth(2));
-    let report = rome::core::simulate::run_to_completion(
+    let report = rome::engine::simulate::run_to_completion(
         &mut ctrl,
         rome::mc::workload::streaming_reads(0, 4 * 1024 * 1024, 4096),
     );

@@ -1,15 +1,16 @@
-//! Equivalence of the event-driven and cycle-stepped simulation drivers.
+//! Equivalence of the event-driven simulation drivers and cycle-stepped
+//! references.
 //!
-//! The event-driven driver (`run_with_limit`) must execute the exact command
-//! schedule of the original cycle-by-cycle loop (`run_with_limit_stepped`) —
-//! this suite pins *bit-identical* `SimulationReport`s across workload
-//! shapes, queue depths, and time limits, on both the conventional HBM4
-//! controller and the RoMe controller. Since the engine extraction both
-//! stacks run through the *same* generic loop
-//! (`rome::engine::simulate::run_with_limit`), instantiated per controller
-//! via the `MemoryController` trait.
+//! The single-controller event loop (`run_with_source_budgeted`, which the
+//! vector drivers `run_with_budget` and `run_to_completion` replay through)
+//! must execute the exact command schedule of a cycle-by-cycle loop. This
+//! suite pins *bit-identical* `SimulationReport`s against the test-only
+//! stepped reference `common::run_stepped` across workload shapes, queue
+//! depths, and time limits, on both the conventional HBM4 controller and
+//! the RoMe controller, which both run through the one generic loop via the
+//! `MemoryController` trait.
 //!
-//! The stepped baselines run the same scheduler scans and the same
+//! The stepped references run the same scheduler scans and the same
 //! multi-channel event calendar as the event-driven runs; those have their
 //! own from-scratch references inside their crates' test builds (every
 //! scheduling decision of both controllers is checked against a test-only
@@ -17,7 +18,7 @@
 //! recompute and a stepped system that ticks every channel every cycle).
 //! What this suite pins is the driver: jumping between the reported events
 //! must execute exactly the schedule of visiting every cycle. The
-//! single-controller stepped driver ticks the controller on every cycle, so
+//! single-controller reference ticks the controller on every cycle, so
 //! a controller wakeup reported one cycle too late — a missed event —
 //! surfaces here as a report mismatch. The system-level stepped baselines
 //! advance the global clock every cycle through the same calendar, so they
@@ -27,13 +28,14 @@
 //! are among the inputs, because they are where the scans park the most
 //! entries on stored bounds.
 
+mod common;
+
 use rome::core::controller::{RomeController, RomeControllerConfig};
-use rome::core::simulate as rome_simulate;
 use rome::core::system::{RomeMemorySystem, RomeSystemConfig};
-use rome::engine::simulate as engine_simulate;
+use rome::engine::simulate::{run_to_completion, run_with_budget};
+use rome::engine::{MemoryController, RunBudget};
 use rome::mc::controller::{ChannelController, ControllerConfig};
 use rome::mc::request::MemoryRequest;
-use rome::mc::simulate as mc_simulate;
 use rome::mc::system::{HostCompletion, MemorySystem, MemorySystemConfig};
 use rome::mc::workload;
 
@@ -60,17 +62,36 @@ fn workloads(total_bytes: u64, granularity: u64) -> Vec<(&'static str, Vec<Memor
     ]
 }
 
+/// Run `requests` through the event-driven vector driver and through the
+/// stepped reference on two fresh controllers and require identical reports.
+fn assert_equivalent<C: MemoryController>(
+    make: impl Fn() -> C,
+    requests: Vec<MemoryRequest>,
+    max_ns: u64,
+    label: &str,
+) {
+    let fast = run_with_budget(
+        &mut make(),
+        requests.clone(),
+        max_ns,
+        &RunBudget::unlimited(),
+    );
+    let slow = common::run_stepped(&mut make(), requests, max_ns);
+    assert_eq!(fast, slow, "reports diverged on {label}");
+}
+
 fn assert_mc_equivalent(
     cfg: ControllerConfig,
     requests: Vec<MemoryRequest>,
     max_ns: u64,
     label: &str,
 ) {
-    let mut event = ChannelController::new(cfg.clone());
-    let mut stepped = ChannelController::new(cfg);
-    let fast = mc_simulate::run_with_limit(&mut event, requests.clone(), max_ns);
-    let slow = mc_simulate::run_with_limit_stepped(&mut stepped, requests, max_ns);
-    assert_eq!(fast, slow, "hbm4 reports diverged on {label}");
+    assert_equivalent(
+        || ChannelController::new(cfg.clone()),
+        requests,
+        max_ns,
+        &format!("hbm4 {label}"),
+    );
 }
 
 fn assert_rome_equivalent(
@@ -79,11 +100,12 @@ fn assert_rome_equivalent(
     max_ns: u64,
     label: &str,
 ) {
-    let mut event = RomeController::new(cfg.clone());
-    let mut stepped = RomeController::new(cfg);
-    let fast = rome_simulate::run_with_limit(&mut event, requests.clone(), max_ns);
-    let slow = rome_simulate::run_with_limit_stepped(&mut stepped, requests, max_ns);
-    assert_eq!(fast, slow, "rome reports diverged on {label}");
+    assert_equivalent(
+        || RomeController::new(cfg.clone()),
+        requests,
+        max_ns,
+        &format!("rome {label}"),
+    );
 }
 
 #[test]
@@ -198,23 +220,66 @@ fn rome_reports_are_bit_identical_under_time_limits() {
 
 #[test]
 fn generic_engine_driver_runs_both_stacks() {
-    // Both stacks run through the one generic loop: calling
-    // rome::engine::simulate directly on either controller type must give
-    // the exact report the per-crate re-exports give.
+    // Both stacks run through the one generic loop: `run_to_completion`,
+    // the entry point of every table and calibration, must give the
+    // stepped reference's report on either controller type.
     for (label, reqs) in workloads(16 * 1024, 32) {
-        let mut a = ChannelController::new(ControllerConfig::hbm4_baseline());
-        let mut b = ChannelController::new(ControllerConfig::hbm4_baseline());
-        let via_engine = engine_simulate::run_with_limit(&mut a, reqs.clone(), 50_000_000);
-        let via_mc = mc_simulate::run_with_limit(&mut b, reqs, 50_000_000);
-        assert_eq!(via_engine, via_mc, "hbm4 engine path diverged on {label}");
+        let via_engine = run_to_completion(
+            &mut ChannelController::new(ControllerConfig::hbm4_baseline()),
+            reqs.clone(),
+        );
+        let stepped = common::run_stepped(
+            &mut ChannelController::new(ControllerConfig::hbm4_baseline()),
+            reqs,
+            50_000_000,
+        );
+        assert_eq!(via_engine, stepped, "hbm4 engine path diverged on {label}");
     }
     for (label, reqs) in workloads(128 * 1024, 4096) {
-        let mut a = RomeController::new(RomeControllerConfig::paper_default());
-        let mut b = RomeController::new(RomeControllerConfig::paper_default());
-        let via_engine = engine_simulate::run_with_limit(&mut a, reqs.clone(), 50_000_000);
-        let via_core = rome_simulate::run_with_limit(&mut b, reqs, 50_000_000);
-        assert_eq!(via_engine, via_core, "rome engine path diverged on {label}");
+        let via_engine = run_to_completion(
+            &mut RomeController::new(RomeControllerConfig::paper_default()),
+            reqs.clone(),
+        );
+        let stepped = common::run_stepped(
+            &mut RomeController::new(RomeControllerConfig::paper_default()),
+            reqs,
+            50_000_000,
+        );
+        assert_eq!(via_engine, stepped, "rome engine path diverged on {label}");
     }
+}
+
+#[test]
+fn staggered_arrivals_stay_equivalent() {
+    // A vector run releases each request at its arrival: gaps the
+    // controller idles through, bursts that queue up behind a full queue,
+    // and an out-of-order arrival clamped to its predecessor's.
+    let reqs: Vec<MemoryRequest> = (0..256u64)
+        .map(|i| {
+            let arrival = (i / 16) * 700 + if i % 37 == 5 { 0 } else { i % 3 };
+            if i % 4 == 3 {
+                MemoryRequest::write(i + 1, i * 4096, 32, arrival)
+            } else {
+                MemoryRequest::read(i + 1, i * 4096, 32, arrival)
+            }
+        })
+        .collect();
+    assert_mc_equivalent(
+        ControllerConfig::hbm4_baseline(),
+        reqs.clone(),
+        50_000_000,
+        "staggered",
+    );
+    let rows: Vec<MemoryRequest> = reqs
+        .iter()
+        .map(|r| MemoryRequest { bytes: 4096, ..*r })
+        .collect();
+    assert_rome_equivalent(
+        RomeControllerConfig::paper_default(),
+        rows,
+        50_000_000,
+        "staggered",
+    );
 }
 
 /// Host-request mix used for the multi-channel system tests: several
@@ -398,7 +463,7 @@ fn mc_system_run_until_idle_preserves_totals_vs_per_cycle_ticks() {
     }
 
     let done_ticked = run_stepped(&mut ticked);
-    let (done_parallel, stop) = parallel.run_until_idle(5_000_000);
+    let (done_parallel, stop, _) = parallel.run_until_idle(5_000_000, &RunBudget::unlimited());
 
     assert!(stop > 0);
     assert_eq!(done_parallel.len(), done_ticked.len());
@@ -422,7 +487,7 @@ fn rome_system_run_until_idle_preserves_totals_vs_per_cycle_ticks() {
     }
 
     let done_ticked = run_stepped(&mut ticked);
-    let (done_parallel, stop) = parallel.run_until_idle(5_000_000);
+    let (done_parallel, stop, _) = parallel.run_until_idle(5_000_000, &RunBudget::unlimited());
 
     assert!(stop > 0);
     assert_eq!(done_parallel.len(), done_ticked.len());

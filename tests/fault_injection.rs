@@ -14,7 +14,7 @@
 //!   through the same loop bodies, and a `SlowdownUs` fault perturbs only
 //!   wall-clock time, never simulated state.
 
-use rome::engine::simulate::{run_with_budget, run_with_limit, run_with_source_budgeted};
+use rome::engine::simulate::{run_to_completion, run_with_budget, run_with_source_budgeted};
 use rome::engine::{
     AbortReason, EngineFault, HostCompletion, MemoryRequest, RunBudget, TrafficSource,
 };
@@ -158,7 +158,7 @@ fn event_budget_tags_a_bounded_multi_cube_run() {
 fn sim_time_budget_aborts_within_budget() {
     let reqs = rome::mc::workload::streaming_reads(0, 1 << 20, 64);
     let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
-    let full = run_with_limit(&mut ctrl, reqs.clone(), 50_000_000);
+    let full = run_to_completion(&mut ctrl, reqs.clone());
     assert_eq!(full.aborted, None);
 
     let budget = RunBudget::default().with_max_sim_ns(1_000);
@@ -332,13 +332,13 @@ fn drained_batches_are_counted_per_spec() {
 
 #[test]
 fn fault_free_runs_are_bit_identical_with_the_harness_compiled_in() {
-    // Engine level: the budgeted entry point with an unlimited budget must
-    // be bit-identical to the legacy one (same loop body, no tag), and so
-    // must an armed budget that never trips — a wall-clock deadline an
-    // hour out, probed periodically, and an event ceiling no run reaches.
+    // Engine level: an explicitly unlimited budget must be bit-identical to
+    // `run_to_completion` (same loop body, no tag), and so must an armed
+    // budget that never trips — a wall-clock deadline an hour out, probed
+    // periodically, and an event ceiling no run reaches.
     let reqs = rome::mc::workload::streaming_reads(0, 1 << 18, 256);
     let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
-    let legacy = run_with_limit(&mut ctrl, reqs.clone(), 50_000_000);
+    let legacy = run_to_completion(&mut ctrl, reqs.clone());
     let armed = RunBudget::default()
         .with_wall_clock(std::time::Duration::from_secs(3600))
         .with_max_events(u64::MAX);

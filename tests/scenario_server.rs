@@ -233,7 +233,7 @@ fn served_queue_depth_matches_the_direct_runs_bit_for_bit() {
         let mut ctrl = rome::core::RomeController::new(
             rome::core::RomeControllerConfig::with_queue_depth(row.depth),
         );
-        let direct = rome::core::simulate::run_to_completion(
+        let direct = rome::engine::simulate::run_to_completion(
             &mut ctrl,
             rome::mc::workload::streaming_reads(0, 256 * 1024, 4096),
         );

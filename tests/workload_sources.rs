@@ -2,25 +2,30 @@
 //!
 //! Pins three contracts:
 //!
-//! 1. **Replay equivalence** — `run_with_source(ReplaySource::from(vec))`
-//!    produces a *bit-identical* `SimulationReport` to the materialized-vec
-//!    drivers on the same vector, for both single-channel controllers, and
-//!    bit-identical host completions on both multi-channel memory systems.
-//!    Every existing experiment is therefore a special case of the
-//!    streaming path.
+//! 1. **Replay equivalence** — `run_with_source_budgeted` over
+//!    `ReplaySource::from(vec)`, the path every vector driver takes,
+//!    produces a *bit-identical* `SimulationReport` to the cycle-stepped
+//!    reference on the same vector, for both single-channel controllers,
+//!    and a system driven from a replay gives bit-identical host
+//!    completions to one fed the whole vector up front, on both
+//!    multi-channel memory systems. A vector run releases each request at
+//!    its arrival.
 //! 2. **Seed determinism** — every source is a pure function of its seed
 //!    and pull schedule: the same seed yields the same stream however the
 //!    driver slices time, and different seeds diverge.
 //! 3. **Closed-loop discipline** — a `ClosedLoopHost` never exceeds its
 //!    window, drains completely, and wider windows never lose bandwidth.
 
+mod common;
+
 use proptest::prelude::*;
 
 use rome::core::controller::{RomeController, RomeControllerConfig};
 use rome::core::system::{RomeMemorySystem, RomeSystemConfig};
-use rome::engine::simulate as engine_simulate;
+use rome::engine::simulate::{run_with_budget, run_with_source_budgeted};
 use rome::engine::source::{ReplaySource, TrafficSource};
 use rome::engine::system::HostCompletion;
+use rome::engine::RunBudget;
 use rome::mc::controller::{ChannelController, ControllerConfig};
 use rome::mc::request::MemoryRequest;
 use rome::mc::system::{MemorySystem, MemorySystemConfig};
@@ -64,9 +69,10 @@ fn replay_source_is_bit_identical_on_the_hbm4_controller() {
         let mut a = ChannelController::new(ControllerConfig::hbm4_baseline());
         let mut b = ChannelController::new(ControllerConfig::hbm4_baseline());
         let mut source = ReplaySource::from(reqs.clone());
-        let streamed = engine_simulate::run_with_source(&mut a, &mut source, 50_000_000);
-        let materialized = engine_simulate::run_with_limit(&mut b, reqs, 50_000_000);
-        assert_eq!(streamed, materialized, "hbm4 replay diverged on {label}");
+        let streamed =
+            run_with_source_budgeted(&mut a, &mut source, 50_000_000, &RunBudget::unlimited());
+        let stepped = common::run_stepped(&mut b, reqs, 50_000_000);
+        assert_eq!(streamed, stepped, "hbm4 replay diverged on {label}");
         assert!(source.is_exhausted());
     }
 }
@@ -77,9 +83,10 @@ fn replay_source_is_bit_identical_on_the_rome_controller() {
         let mut a = RomeController::new(RomeControllerConfig::paper_default());
         let mut b = RomeController::new(RomeControllerConfig::paper_default());
         let mut source = ReplaySource::from(reqs.clone());
-        let streamed = engine_simulate::run_with_source(&mut a, &mut source, 50_000_000);
-        let materialized = engine_simulate::run_with_limit(&mut b, reqs, 50_000_000);
-        assert_eq!(streamed, materialized, "rome replay diverged on {label}");
+        let streamed =
+            run_with_source_budgeted(&mut a, &mut source, 50_000_000, &RunBudget::unlimited());
+        let stepped = common::run_stepped(&mut b, reqs, 50_000_000);
+        assert_eq!(streamed, stepped, "rome replay diverged on {label}");
     }
 }
 
@@ -91,11 +98,32 @@ fn replay_source_is_bit_identical_under_time_limits() {
             let mut a = ChannelController::new(ControllerConfig::hbm4_baseline());
             let mut b = ChannelController::new(ControllerConfig::hbm4_baseline());
             let mut source = ReplaySource::from(reqs.clone());
-            let streamed = engine_simulate::run_with_source(&mut a, &mut source, max_ns);
-            let materialized = engine_simulate::run_with_limit(&mut b, reqs, max_ns);
-            assert_eq!(streamed, materialized, "{label}@max{max_ns} diverged");
+            let streamed =
+                run_with_source_budgeted(&mut a, &mut source, max_ns, &RunBudget::unlimited());
+            let stepped = common::run_stepped(&mut b, reqs, max_ns);
+            assert_eq!(streamed, stepped, "{label}@max{max_ns} diverged");
         }
     }
+}
+
+#[test]
+fn vector_runs_release_each_request_at_its_arrival() {
+    // A vector run replays its input: a request that arrives at cycle 1000
+    // is not offered, so cannot complete, before then.
+    let reqs = vec![
+        MemoryRequest::read(1, 0, 32, 0),
+        MemoryRequest::read(2, 1 << 20, 32, 1000),
+    ];
+    let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
+    let report = run_with_budget(&mut ctrl, reqs.clone(), 50_000_000, &RunBudget::unlimited());
+    assert_eq!(report.requests_completed, 2);
+    assert!(
+        report.finish_time >= 1000,
+        "finished at {}",
+        report.finish_time
+    );
+    let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
+    assert_eq!(report, common::run_stepped(&mut ctrl, reqs, 50_000_000));
 }
 
 /// Host-request mix for the multi-channel comparisons.
@@ -171,7 +199,7 @@ fn streaming_generators_emit_the_partial_tail() {
     let reqs = workload::streaming_reads(0, 100, 32);
     assert_eq!(reqs.iter().map(|r| r.bytes).sum::<u64>(), 100);
     let mut ctrl = ChannelController::new(ControllerConfig::hbm4_baseline());
-    let report = rome::mc::simulate::run_to_completion(&mut ctrl, reqs);
+    let report = rome::engine::simulate::run_to_completion(&mut ctrl, reqs);
     assert_eq!(report.bytes_read, 100);
 }
 
