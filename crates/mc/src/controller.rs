@@ -66,6 +66,9 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
+    /// Read- and write-queue capacity of [`ControllerConfig::hbm4_baseline`].
+    pub const BASELINE_QUEUE_CAPACITY: usize = 64;
+
     /// The HBM4 baseline configuration used throughout the paper's
     /// evaluation: 64-entry queues, FR-FCFS, open page, per-bank refresh.
     pub fn hbm4_baseline() -> Self {
@@ -74,8 +77,8 @@ impl ControllerConfig {
             organization,
             timing: TimingParams::hbm4(),
             mapping: MappingScheme::hbm4_streaming(organization, 1),
-            read_queue_capacity: 64,
-            write_queue_capacity: 64,
+            read_queue_capacity: Self::BASELINE_QUEUE_CAPACITY,
+            write_queue_capacity: Self::BASELINE_QUEUE_CAPACITY,
             page_policy: PagePolicy::Open,
             scheduling: SchedulingPolicy::FrFcfs,
             refresh_mode: RefreshMode::PerBank,

@@ -12,7 +12,18 @@
 //!
 //! Mirroring the paper's methodology (§VI-A), the conventional controller is
 //! calibrated over a sweep of candidate address mappings and the
-//! best-performing one is used.
+//! best-performing one is used, as Ramulator 2.0 and DRAMSim3 sweep address
+//! mappings too. The candidates are independent runs, so they run
+//! concurrently through `rayon`; the pick (highest bandwidth utilization,
+//! ties to the lower candidate index) cannot depend on which run finishes
+//! first.
+//!
+//! The sampled window is never materialized. Each run pulls it from a
+//! generator that computes every request from its index and keeps at most
+//! a fixed window of requests released and not yet completed, so a run
+//! holds a few KiB of trace rather than a 1.25 MiB request vector — which
+//! also keeps concurrent candidates from adding trace copies to the peak
+//! memory.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -21,10 +32,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use rome_core::controller::{RomeController, RomeControllerConfig};
-use rome_engine::simulate::run_to_completion;
+use rome_engine::simulate::run_with_source_budgeted;
+use rome_engine::{HostCompletion, MemoryController, RunBudget, SimulationReport, TrafficSource};
+use rome_hbm::units::Cycle;
 use rome_mc::controller::{ChannelController, ControllerConfig};
 use rome_mc::mapping::MappingScheme;
 use rome_mc::request::MemoryRequest;
@@ -40,6 +54,17 @@ pub struct CalibrationResult {
     pub activates_per_kib: f64,
     /// Mean read latency observed, in ns.
     pub mean_read_latency_ns: f64,
+}
+
+impl CalibrationResult {
+    /// The calibration a finished run measured on a channel of `peak_gbps`.
+    fn from_report(report: &SimulationReport, peak_gbps: f64) -> Self {
+        CalibrationResult {
+            bandwidth_utilization: (report.achieved_bandwidth_gbps / peak_gbps).min(1.0),
+            activates_per_kib: report.activates_per_kib,
+            mean_read_latency_ns: report.mean_read_latency,
+        }
+    }
 }
 
 /// Runs the sampled calibrations and caches their results.
@@ -58,47 +83,186 @@ const CALIBRATION_BYTES_PER_STREAM: u64 = 128 * 1024;
 /// Seed for the stream base addresses (4 KiB-aligned, as a real allocator
 /// would place tensors).
 const CALIBRATION_SEED: u64 = 0x0520_2026;
+/// Simulated-time safety limit of one calibration run, in ns: the limit
+/// `run_to_completion` applies. A run it cuts short panics (see
+/// [`SimulationReport::expect_complete`]) instead of calibrating.
+const CALIBRATION_LIMIT_NS: Cycle = 50_000_000;
+/// Requests a calibration run keeps released and not yet completed: four
+/// HBM4 baseline read queues.
+///
+/// The driver offers released requests in order whenever a queue slot is
+/// free. A streamed run therefore replays the materialized trace exactly —
+/// same report, same visited ticks — as long as released requests are
+/// still waiting in the driver whenever a slot frees, that is as long as
+/// the window exceeds what the controller holds: its queue plus the
+/// transfers it has issued and not finished. On the calibration trace the
+/// HBM4 controller holds at most 98 requests (mapping candidate 3); a
+/// window of 100 replays all four candidates exactly, and at 96 candidate
+/// 3 diverges. Four queues keep more than twice what the controller
+/// holds. RoMe's controller holds at most 6. The tests pin the
+/// replay, the 2× margin and the divergence.
+const CALIBRATION_WINDOW: usize = 4 * ControllerConfig::BASELINE_QUEUE_CAPACITY;
 
-/// Build the interleaved multi-stream request trace used for calibration:
-/// `streams` sequential streams at independent (seeded-random, 4 KiB-aligned)
-/// base addresses whose granules are interleaved round-robin — the arrival
-/// order a DMA engine serving several tensors produces.
-pub fn interleaved_streams(
-    streams: u64,
-    bytes_per_stream: u64,
+/// The calibration trace as a [`TrafficSource`]: `streams` sequential
+/// streams at independent (seeded-random, 4 KiB-aligned) base addresses
+/// whose granules are interleaved round-robin — the arrival order a DMA
+/// engine serving several tensors produces. Request `id` is granule
+/// `id / streams` of stream `id % streams`, computed when it is pulled;
+/// nothing else is stored.
+///
+/// Every request is due at cycle 0, but at most `window` of them are
+/// released and not yet completed. The first pull releases a full window;
+/// after that each completion frees a slot that the next pull — at the
+/// driver's next wake-up — refills. The source schedules no wake-up of its
+/// own: with the window above what the controller can hold (see
+/// `CALIBRATION_WINDOW`), a refill one wake-up after its completion is
+/// never observed, because requests released earlier are still waiting in
+/// the driver when a queue slot frees.
+#[derive(Debug, Clone)]
+struct InterleavedStreams {
+    /// Base address of each stream.
+    bases: Vec<u64>,
+    /// Bytes per request.
     granularity: u64,
-    seed: u64,
-) -> Vec<MemoryRequest> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let bases: Vec<u64> = (0..streams)
-        .map(|_| rng.gen_range(0..(1u64 << 22)) * 4096)
-        .collect();
-    let chunks_per_stream = bytes_per_stream / granularity;
-    let mut out = Vec::with_capacity((streams * chunks_per_stream) as usize);
-    let mut id = 0u64;
-    for chunk in 0..chunks_per_stream {
-        for base in &bases {
-            out.push(MemoryRequest::read(
-                id,
-                base + chunk * granularity,
-                granularity,
-                0,
-            ));
-            id += 1;
-        }
-    }
-    out
+    /// Requests in the whole trace.
+    total: u64,
+    /// Id of the next request to release.
+    next: u64,
+    /// Released requests that have completed.
+    completed: u64,
+    /// Cap on released requests not yet completed.
+    window: u64,
 }
 
-/// The request stream the HBM4 calibration replays: the interleaved
-/// streams at cache-line (32 B) granularity.
-fn hbm4_calibration_trace() -> Vec<MemoryRequest> {
-    interleaved_streams(
-        CALIBRATION_STREAMS,
-        CALIBRATION_BYTES_PER_STREAM,
-        32,
-        CALIBRATION_SEED,
-    )
+impl InterleavedStreams {
+    /// `streams` streams of `bytes_per_stream` bytes each, in requests of
+    /// `granularity` bytes, bases drawn from `seed`, at most `window`
+    /// requests outstanding.
+    fn new(
+        streams: u64,
+        bytes_per_stream: u64,
+        granularity: u64,
+        seed: u64,
+        window: usize,
+    ) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let bases = (0..streams)
+            .map(|_| rng.gen_range(0..(1u64 << 22)) * 4096)
+            .collect();
+        InterleavedStreams {
+            bases,
+            granularity,
+            total: streams * (bytes_per_stream / granularity),
+            next: 0,
+            completed: 0,
+            window: window as u64,
+        }
+    }
+
+    /// The calibration trace at `granularity` bytes per request.
+    fn calibration(granularity: u64) -> Self {
+        InterleavedStreams::new(
+            CALIBRATION_STREAMS,
+            CALIBRATION_BYTES_PER_STREAM,
+            granularity,
+            CALIBRATION_SEED,
+            CALIBRATION_WINDOW,
+        )
+    }
+
+    /// Requests in the whole trace.
+    fn len(&self) -> usize {
+        self.total as usize
+    }
+
+    /// Request `id` of the trace.
+    fn request(&self, id: u64) -> MemoryRequest {
+        let streams = self.bases.len() as u64;
+        let base = self.bases[(id % streams) as usize];
+        MemoryRequest::read(
+            id,
+            base + id / streams * self.granularity,
+            self.granularity,
+            0,
+        )
+    }
+}
+
+impl TrafficSource for InterleavedStreams {
+    fn next_arrival_at(&self) -> Option<Cycle> {
+        // Every request is due at cycle 0; after the first pull each
+        // release waits on a completion.
+        (self.next == 0 && self.total > 0).then_some(0)
+    }
+
+    fn pull_into(&mut self, _now: Cycle, out: &mut Vec<MemoryRequest>) {
+        let end = self.total.min(self.completed + self.window);
+        out.extend((self.next..end).map(|id| self.request(id)));
+        self.next = self.next.max(end);
+    }
+
+    fn on_completion(&mut self, _completion: &HostCompletion) {
+        self.completed += 1;
+    }
+
+    fn is_exhausted(&self) -> bool {
+        self.next == self.total
+    }
+}
+
+/// Stream the calibration trace at `granularity` bytes per request through
+/// `controller`, stopping at `max_ns`, and check that every request
+/// completed: a run cut short panics with a message naming `run`.
+fn calibration_run<C: MemoryController>(
+    controller: &mut C,
+    granularity: u64,
+    max_ns: Cycle,
+    run: &str,
+) -> SimulationReport {
+    let mut trace = InterleavedStreams::calibration(granularity);
+    let requests = trace.len();
+    run_with_source_budgeted(controller, &mut trace, max_ns, &RunBudget::unlimited())
+        .expect_complete(requests, run)
+}
+
+/// Calibrate the HBM4 baseline controller under mapping candidate `index`
+/// of the sweep. Panics, naming the candidate and its field order, if the
+/// run does not finish within `max_ns`.
+fn hbm4_candidate(index: usize, mapping: MappingScheme, max_ns: Cycle) -> CalibrationResult {
+    let run = format!("HBM4 calibration candidate {index} {:?}", mapping.order());
+    let mut cfg = ControllerConfig::hbm4_baseline();
+    cfg.mapping = mapping;
+    let mut ctrl = ChannelController::new(cfg);
+    let report = calibration_run(&mut ctrl, 32, max_ns, &run);
+    CalibrationResult::from_report(&report, ctrl.config().organization.channel_bandwidth_gbps())
+}
+
+/// Every HBM4 mapping candidate's calibration, in sweep order. The
+/// candidates run concurrently; a panic in any of them reaches the caller
+/// with its own message.
+fn hbm4_candidates(max_ns: Cycle) -> Vec<CalibrationResult> {
+    let organization = ControllerConfig::hbm4_baseline().organization;
+    MappingScheme::sweep_candidates(organization, 1)
+        .into_iter()
+        .enumerate()
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(|(index, mapping)| hbm4_candidate(index, mapping, max_ns))
+        .collect()
+}
+
+/// The candidate a mapping sweep keeps, as `(index, result)`: the highest
+/// bandwidth utilization, a tie going to the lower index, so the pick does
+/// not depend on the order the results arrive in. `None` for no
+/// candidates.
+fn best_candidate(
+    candidates: impl IntoIterator<Item = (usize, CalibrationResult)>,
+) -> Option<(usize, CalibrationResult)> {
+    candidates.into_iter().max_by(|(i, a), (j, b)| {
+        a.bandwidth_utilization
+            .total_cmp(&b.bandwidth_utilization)
+            .then(j.cmp(i))
+    })
 }
 
 impl Calibrator {
@@ -109,69 +273,40 @@ impl Calibrator {
 
     /// Calibrate the conventional HBM4 channel controller, sweeping the
     /// candidate address mappings and keeping the best (the paper's
-    /// methodology).
+    /// methodology): the highest bandwidth utilization, ties to the
+    /// earlier candidate of [`MappingScheme::sweep_candidates`].
+    ///
+    /// The candidates run concurrently, each streaming its own copy of the
+    /// calibration trace through its own controller, so the result is the
+    /// one a serial sweep gives. Panics, naming the candidate, if any
+    /// candidate's run is cut short.
     pub fn hbm4(&mut self) -> CalibrationResult {
         if let Some(r) = self.hbm4 {
             return r;
         }
-        let base_cfg = ControllerConfig::hbm4_baseline();
-        let mut best: Option<CalibrationResult> = None;
-        let candidates = MappingScheme::sweep_candidates(base_cfg.organization, 1);
-        for (i, mapping) in candidates.into_iter().enumerate() {
-            let mut cfg = base_cfg.clone();
-            cfg.mapping = mapping;
-            let mut ctrl = ChannelController::new(cfg);
-            // A fresh copy per candidate (the generator is deterministic),
-            // so only one copy of the trace is live at a time.
-            let reqs = hbm4_calibration_trace();
-            let requests = reqs.len();
-            let report = run_to_completion(&mut ctrl, reqs).expect_complete(
-                requests,
-                format_args!(
-                    "HBM4 calibration candidate {i} {:?}",
-                    ctrl.config().mapping.order()
-                ),
-            );
-            let peak = ctrl.config().organization.channel_bandwidth_gbps();
-            let candidate = CalibrationResult {
-                bandwidth_utilization: (report.achieved_bandwidth_gbps / peak).min(1.0),
-                activates_per_kib: report.activates_per_kib,
-                mean_read_latency_ns: report.mean_read_latency,
-            };
-            if best
-                .map(|b| candidate.bandwidth_utilization > b.bandwidth_utilization)
-                .unwrap_or(true)
-            {
-                best = Some(candidate);
-            }
-        }
-        let result = best.expect("at least one mapping candidate");
+        let (_, result) = best_candidate(
+            hbm4_candidates(CALIBRATION_LIMIT_NS)
+                .into_iter()
+                .enumerate(),
+        )
+        .expect("at least one mapping candidate");
         self.hbm4 = Some(result);
         result
     }
 
-    /// Calibrate the RoMe channel controller.
+    /// Calibrate the RoMe channel controller on the same interleaved
+    /// streams, one row per request.
     pub fn rome(&mut self) -> CalibrationResult {
         if let Some(r) = self.rome {
             return r;
         }
         let mut ctrl = RomeController::new(RomeControllerConfig::paper_default());
         let row = ctrl.config().row_bytes();
-        let reqs = interleaved_streams(
-            CALIBRATION_STREAMS,
-            CALIBRATION_BYTES_PER_STREAM,
-            row,
-            CALIBRATION_SEED,
+        let report = calibration_run(&mut ctrl, row, CALIBRATION_LIMIT_NS, "RoMe calibration");
+        let result = CalibrationResult::from_report(
+            &report,
+            ctrl.config().organization.channel_bandwidth_gbps(),
         );
-        let requests = reqs.len();
-        let report =
-            run_to_completion(&mut ctrl, reqs).expect_complete(requests, "RoMe calibration");
-        let peak = ctrl.config().organization.channel_bandwidth_gbps();
-        let result = CalibrationResult {
-            bandwidth_utilization: (report.achieved_bandwidth_gbps / peak).min(1.0),
-            activates_per_kib: report.activates_per_kib,
-            mean_read_latency_ns: report.mean_read_latency,
-        };
         self.rome = Some(result);
         result
     }
@@ -286,7 +421,157 @@ impl CalibrationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rome_engine::simulate::run_to_completion;
     use rome_mc::AddressMapping;
+
+    /// The calibration trace materialized as a vector: the reference the
+    /// streamed generator is pinned against.
+    fn interleaved_streams(
+        streams: u64,
+        bytes_per_stream: u64,
+        granularity: u64,
+        seed: u64,
+    ) -> Vec<MemoryRequest> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let bases: Vec<u64> = (0..streams)
+            .map(|_| rng.gen_range(0..(1u64 << 22)) * 4096)
+            .collect();
+        let chunks_per_stream = bytes_per_stream / granularity;
+        let mut out = Vec::with_capacity((streams * chunks_per_stream) as usize);
+        let mut id = 0u64;
+        for chunk in 0..chunks_per_stream {
+            for base in &bases {
+                out.push(MemoryRequest::read(
+                    id,
+                    base + chunk * granularity,
+                    granularity,
+                    0,
+                ));
+                id += 1;
+            }
+        }
+        out
+    }
+
+    /// The materialized calibration trace at `granularity` bytes per request.
+    fn calibration_trace(granularity: u64) -> Vec<MemoryRequest> {
+        interleaved_streams(
+            CALIBRATION_STREAMS,
+            CALIBRATION_BYTES_PER_STREAM,
+            granularity,
+            CALIBRATION_SEED,
+        )
+    }
+
+    /// The request stream the HBM4 calibration runs, materialized.
+    fn hbm4_calibration_trace() -> Vec<MemoryRequest> {
+        calibration_trace(32)
+    }
+
+    /// The HBM4 baseline controller under mapping candidate `mapping`.
+    fn hbm4_controller(mapping: MappingScheme) -> ChannelController {
+        let mut cfg = ControllerConfig::hbm4_baseline();
+        cfg.mapping = mapping;
+        ChannelController::new(cfg)
+    }
+
+    fn hbm4_mappings() -> Vec<MappingScheme> {
+        MappingScheme::sweep_candidates(ControllerConfig::hbm4_baseline().organization, 1)
+    }
+
+    /// Forwards every call to `inner` and tracks the requests it holds
+    /// (enqueued and not completed).
+    struct Held<C> {
+        inner: C,
+        held: usize,
+        peak: usize,
+    }
+
+    impl<C> Held<C> {
+        fn new(inner: C) -> Self {
+            Held {
+                inner,
+                held: 0,
+                peak: 0,
+            }
+        }
+
+        fn admit(&mut self, ok: bool) -> bool {
+            self.held += usize::from(ok);
+            self.peak = self.peak.max(self.held);
+            ok
+        }
+    }
+
+    impl<C: rome_engine::MemoryController> rome_engine::MemoryController for Held<C> {
+        type Entry = C::Entry;
+
+        fn enqueue(&mut self, request: MemoryRequest) -> bool {
+            let ok = self.inner.enqueue(request);
+            self.admit(ok)
+        }
+
+        fn enqueue_entry(&mut self, entry: Self::Entry) -> bool {
+            let ok = self.inner.enqueue_entry(entry);
+            self.admit(ok)
+        }
+
+        fn entry_kind(entry: &Self::Entry) -> rome_mc::RequestKind {
+            C::entry_kind(entry)
+        }
+
+        fn tick_into(
+            &mut self,
+            now: Cycle,
+            completed: &mut Vec<rome_mc::request::CompletedRequest>,
+        ) -> bool {
+            let before = completed.len();
+            let issued = self.inner.tick_into(now, completed);
+            self.held -= completed.len() - before;
+            issued
+        }
+
+        fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
+            self.inner.next_event_at(now)
+        }
+
+        fn is_idle(&self) -> bool {
+            self.inner.is_idle()
+        }
+
+        fn slots_free(&self) -> usize {
+            self.inner.slots_free()
+        }
+
+        fn slots_free_for(&self, kind: rome_mc::RequestKind) -> usize {
+            self.inner.slots_free_for(kind)
+        }
+
+        fn stats_snapshot(&self) -> rome_engine::StatsSnapshot {
+            self.inner.stats_snapshot()
+        }
+    }
+
+    /// Stream the calibration trace through `ctrl` with an explicit window.
+    fn streamed<C: rome_engine::MemoryController>(
+        ctrl: &mut C,
+        granularity: u64,
+        window: usize,
+    ) -> SimulationReport {
+        let mut trace = InterleavedStreams::new(
+            CALIBRATION_STREAMS,
+            CALIBRATION_BYTES_PER_STREAM,
+            granularity,
+            CALIBRATION_SEED,
+            window,
+        );
+        run_with_source_budgeted(
+            ctrl,
+            &mut trace,
+            CALIBRATION_LIMIT_NS,
+            &RunBudget::unlimited(),
+        )
+    }
 
     #[test]
     fn interleaved_streams_round_robin_across_streams() {
@@ -311,6 +596,161 @@ mod tests {
         // Deterministic for a given seed, different across seeds.
         assert_eq!(reqs, interleaved_streams(4, 1024, 32, 1));
         assert_ne!(reqs, interleaved_streams(4, 1024, 32, 2));
+    }
+
+    #[test]
+    fn the_generator_releases_the_vector_trace_one_window_at_a_time() {
+        let mut source = InterleavedStreams::new(4, 1024, 32, 1, 8);
+        assert_eq!(source.len(), 4 * 32);
+        assert_eq!(source.next_arrival_at(), Some(0));
+        let mut pulled = Vec::new();
+        source.pull_into(0, &mut pulled);
+        assert_eq!(pulled.len(), 8, "the first pull releases one window");
+        assert_eq!(
+            source.next_arrival_at(),
+            None,
+            "later releases wait on completions"
+        );
+        source.pull_into(1, &mut pulled);
+        assert_eq!(pulled.len(), 8, "a full window releases nothing");
+        while !source.is_exhausted() {
+            let done = pulled[source.completed as usize];
+            source.on_completion(&HostCompletion {
+                id: done.id,
+                kind: done.kind,
+                bytes: done.bytes,
+                arrival: done.arrival,
+                completed: 2,
+            });
+            source.pull_into(2, &mut pulled);
+        }
+        assert_eq!(pulled, interleaved_streams(4, 1024, 32, 1));
+    }
+
+    #[test]
+    fn streamed_hbm4_candidates_replay_the_vector_trace_tick_for_tick() {
+        // The streamed run must equal the replay of the materialized trace:
+        // the same report and the same visited ticks. `total_cycles` counts
+        // the controller ticks the event-driven driver visits, so the golden
+        // counts also pin the wakeup hint exactly: a looser hint adds
+        // spurious ticks, a tighter one skips needed ones (and then usually
+        // changes the schedule too).
+        let mut ticks = Vec::new();
+        for mapping in hbm4_mappings() {
+            let mut vector = hbm4_controller(mapping.clone());
+            let replayed = run_to_completion(&mut vector, hbm4_calibration_trace());
+            let mut stream = Held::new(hbm4_controller(mapping.clone()));
+            let report = streamed(&mut stream, 32, CALIBRATION_WINDOW);
+            assert_eq!(report, replayed, "candidate {:?}", mapping.order());
+            assert_eq!(
+                stream.inner.stats(),
+                vector.stats(),
+                "candidate {:?}",
+                mapping.order()
+            );
+            // The window's documented margin: at least twice what the
+            // controller ever holds.
+            assert!(
+                2 * stream.peak <= CALIBRATION_WINDOW,
+                "candidate {:?} holds {} requests",
+                mapping.order(),
+                stream.peak
+            );
+            ticks.push(vector.stats().total_cycles);
+        }
+        assert_eq!(ticks, [41_325, 40_572, 41_206, 20_963]);
+    }
+
+    #[test]
+    fn streamed_rome_calibration_replays_the_vector_trace() {
+        let mut vector = RomeController::new(RomeControllerConfig::paper_default());
+        let row = vector.config().row_bytes();
+        let replayed = run_to_completion(&mut vector, calibration_trace(row));
+        let mut stream = Held::new(RomeController::new(RomeControllerConfig::paper_default()));
+        let report = streamed(&mut stream, row, CALIBRATION_WINDOW);
+        assert_eq!(report, replayed);
+        assert_eq!(stream.inner.stats(), vector.stats());
+        assert!(
+            2 * stream.peak <= CALIBRATION_WINDOW,
+            "holds {}",
+            stream.peak
+        );
+    }
+
+    #[test]
+    fn a_window_below_what_the_controller_holds_changes_the_run() {
+        // The replay pin can fail: with a window of 96 the driver runs dry
+        // while candidate 3's queue has free slots.
+        let mapping = hbm4_mappings().swap_remove(3);
+        let mut vector = hbm4_controller(mapping.clone());
+        let replayed = run_to_completion(&mut vector, hbm4_calibration_trace());
+        let report = streamed(&mut hbm4_controller(mapping), 32, 96);
+        assert_eq!(report.requests_completed, replayed.requests_completed);
+        assert_ne!(report, replayed);
+    }
+
+    #[test]
+    fn the_best_candidate_is_the_highest_utilization_ties_to_the_lower_index() {
+        let result = |utilization: f64, acts: f64| CalibrationResult {
+            bandwidth_utilization: utilization,
+            activates_per_kib: acts,
+            mean_read_latency_ns: 100.0,
+        };
+        let candidates = [
+            (0, result(0.6, 1.0)),
+            (1, result(0.8, 2.0)),
+            (2, result(0.7, 1.0)),
+            (3, result(0.8, 3.0)),
+        ];
+        // Every input order: rotations of both directions.
+        for rotation in 0..candidates.len() {
+            let mut order = candidates.to_vec();
+            order.rotate_left(rotation);
+            assert_eq!(best_candidate(order.clone()), Some(candidates[1]));
+            order.reverse();
+            assert_eq!(best_candidate(order), Some(candidates[1]));
+        }
+        assert_eq!(best_candidate([candidates[2]]), Some(candidates[2]));
+        assert_eq!(best_candidate([]), None);
+    }
+
+    #[test]
+    fn the_concurrent_sweep_picks_what_a_serial_fold_picks() {
+        // The sweep as it ran before the candidates ran concurrently: one
+        // candidate after another over the materialized trace, a later
+        // candidate replacing the best only when strictly better.
+        let mut best: Option<CalibrationResult> = None;
+        for mapping in hbm4_mappings() {
+            let mut ctrl = hbm4_controller(mapping);
+            let report = run_to_completion(&mut ctrl, hbm4_calibration_trace());
+            let candidate = CalibrationResult::from_report(
+                &report,
+                ctrl.config().organization.channel_bandwidth_gbps(),
+            );
+            if best.is_none_or(|b| candidate.bandwidth_utilization > b.bandwidth_utilization) {
+                best = Some(candidate);
+            }
+        }
+        assert_eq!(Some(Calibrator::new().hbm4()), best);
+    }
+
+    #[test]
+    fn a_cut_short_candidate_panics_with_its_index_and_mapping_order() {
+        // The same concurrent path as `Calibrator::hbm4`, with a limit no
+        // candidate can meet: the panic that reaches the caller is the
+        // first candidate's own, not a worker-join error.
+        let payload = std::panic::catch_unwind(|| hbm4_candidates(1_000))
+            .expect_err("a cut-short candidate must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the candidate's formatted message");
+        let order = format!("{:?}", hbm4_mappings()[0].order());
+        assert!(
+            message.starts_with(&format!(
+                "HBM4 calibration candidate 0 {order}: incomplete run"
+            )),
+            "{message}"
+        );
     }
 
     #[test]
@@ -371,26 +811,6 @@ mod tests {
         let iso = cache.get_or_calibrate(MemorySystemKind::RomeIsoBandwidth);
         assert!(cache.is_warm(MemorySystemKind::Rome));
         assert_eq!(iso, cache.get_or_calibrate(MemorySystemKind::Rome));
-    }
-
-    #[test]
-    fn hbm4_calibration_candidates_take_their_golden_tick_counts() {
-        // `total_cycles` counts the controller ticks the event-driven driver
-        // visits, so it pins the wakeup hint exactly: a looser hint adds
-        // spurious ticks, a tighter one skips needed ones (and then usually
-        // changes the schedule too).
-        let base = ControllerConfig::hbm4_baseline();
-        let ticks: Vec<u64> = MappingScheme::sweep_candidates(base.organization, 1)
-            .into_iter()
-            .map(|mapping| {
-                let mut cfg = base.clone();
-                cfg.mapping = mapping;
-                let mut ctrl = ChannelController::new(cfg);
-                run_to_completion(&mut ctrl, hbm4_calibration_trace());
-                ctrl.stats().total_cycles
-            })
-            .collect();
-        assert_eq!(ticks, [41_325, 40_572, 41_206, 20_963]);
     }
 
     /// Feeds requests to a [`ChannelController`] through `enqueue_mapped`
