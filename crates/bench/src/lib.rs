@@ -16,8 +16,13 @@ use rome_energy::dram_energy::EnergyParams;
 use rome_energy::{AreaModel, AreaReport};
 use rome_engine::simulate::run_to_completion;
 use rome_hbm::specs::generation_trends;
-use rome_llm::prelude::*;
-use rome_sim::prelude::*;
+use rome_llm::footprint::footprint_rows;
+use rome_llm::{ModelConfig, Stage};
+use rome_sim::overfetch::overfetch_sweep;
+use rome_sim::sweep::figure12_sweep;
+use rome_sim::{
+    decode_energy, decode_tpot, prefill_time, AcceleratorSpec, Calibrator, MemoryModel,
+};
 
 /// Figure 1: weight / activation / KV-cache size distribution per model and
 /// stage.

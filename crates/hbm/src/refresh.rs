@@ -1,36 +1,26 @@
 //! Refresh requirement bookkeeping.
 //!
-//! DRAM cells must be refreshed within the retention window. The memory
-//! controller chooses between **all-bank refresh** (one `REFab` per rank
-//! every `tREFI`, stalling the whole rank for `tRFCab`) and **per-bank
-//! refresh** (one `REFpb` every `tREFIpb`, rotating over the banks, stalling
-//! only the refreshed bank for `tRFCpb`). This module computes when refreshes
-//! are due and quantifies their bandwidth overhead; the controllers in
-//! `rome-mc` and `rome-core` consume it.
+//! DRAM cells must be refreshed within the retention window. The HBM4
+//! baseline controller in `rome-mc` refreshes **per bank**: one `REFpb`
+//! every `tREFIpb`, rotating over the banks of a rank and stalling only the
+//! refreshed bank for `tRFCpb` (the mode the paper's evaluation uses,
+//! §VI-A). This module tracks when each rank's next refresh is due, when
+//! postponing it further becomes urgent, and which bank it targets. The
+//! channel model still accepts all-bank `REFab` commands (see
+//! [`crate::command`]); no controller schedules them through this module.
 
 use serde::{Deserialize, Serialize};
 
 use crate::timing::TimingParams;
 use crate::units::Cycle;
 
-/// Refresh strategy used by a memory controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RefreshMode {
-    /// One `REFab` per rank every `tREFI`.
-    AllBank,
-    /// One `REFpb` every `tREFIpb`, rotating across banks (the mode both the
-    /// baseline and RoMe use in the paper's evaluation, §VI-A).
-    PerBank,
-}
-
-/// Tracks refresh obligations for one rank (pseudo channel × stack ID).
+/// Tracks the per-bank refresh obligations of one rank (pseudo channel ×
+/// stack ID).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RefreshScheduler {
-    mode: RefreshMode,
     interval: Cycle,
     next_due: Cycle,
     banks_in_rank: u32,
-    next_bank: u32,
     issued: u64,
     /// Maximum number of refresh commands that may be postponed (JEDEC allows
     /// pulling in / pushing out a bounded number of refreshes).
@@ -39,28 +29,23 @@ pub struct RefreshScheduler {
 
 impl RefreshScheduler {
     /// Create a scheduler for one rank with `banks_in_rank` banks.
-    pub fn new(mode: RefreshMode, timing: &TimingParams, banks_in_rank: u32) -> Self {
-        let interval = match mode {
-            RefreshMode::AllBank => Cycle::from(timing.t_refi),
-            RefreshMode::PerBank => Cycle::from(timing.t_refi_pb),
-        };
+    ///
+    /// # Panics
+    ///
+    /// Panics if `banks_in_rank` is zero.
+    pub fn new(timing: &TimingParams, banks_in_rank: u32) -> Self {
+        assert!(banks_in_rank > 0, "a rank needs at least one bank");
+        let interval = Cycle::from(timing.t_refi_pb);
         RefreshScheduler {
-            mode,
             interval,
             next_due: interval,
             banks_in_rank,
-            next_bank: 0,
             issued: 0,
             max_postponed: 8,
         }
     }
 
-    /// The refresh mode.
-    pub fn mode(&self) -> RefreshMode {
-        self.mode
-    }
-
-    /// The average interval between refresh commands.
+    /// The average interval between refresh commands (`tREFIpb`).
     pub fn interval(&self) -> Cycle {
         self.interval
     }
@@ -68,6 +53,13 @@ impl RefreshScheduler {
     /// Total refresh commands issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
+    }
+
+    /// The bank (index within the rank) the pending refresh targets: the
+    /// rotation is round-robin over the rank's banks, advanced by
+    /// [`RefreshScheduler::acknowledge`].
+    pub fn next_bank(&self) -> u32 {
+        (self.issued % u64::from(self.banks_in_rank)) as u32
     }
 
     /// Whether a refresh is due at `now`.
@@ -86,83 +78,17 @@ impl RefreshScheduler {
         self.next_due + Cycle::from(self.max_postponed) * self.interval
     }
 
-    /// The next cycle strictly after `now` at which this scheduler's state
-    /// changes on its own: the refresh becoming due, then becoming urgent.
-    /// `None` once the pending refresh is already urgent (only an
-    /// `acknowledge` changes the state from there).
-    pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if now < self.next_due {
-            Some(self.next_due)
-        } else if now < self.urgent_at() {
-            Some(self.urgent_at())
-        } else {
-            None
-        }
-    }
-
     /// Whether refreshes have been postponed to the limit, i.e. the refresh
     /// must be issued before any further requests are served.
     pub fn urgent(&self, now: Cycle) -> bool {
-        now >= self.next_due + Cycle::from(self.max_postponed) * self.interval
+        now >= self.urgent_at()
     }
 
-    /// Record that a refresh was issued at `now`; returns the bank index the
-    /// command should target when in per-bank mode (round-robin).
-    pub fn acknowledge(&mut self, _now: Cycle) -> u32 {
-        let bank = self.next_bank;
-        self.next_bank = (self.next_bank + 1) % self.banks_in_rank.max(1);
+    /// Record that the pending refresh issued: the rotation moves to the
+    /// next bank and the next refresh falls due one interval later.
+    pub fn acknowledge(&mut self) {
         self.next_due += self.interval;
         self.issued += 1;
-        bank
-    }
-
-    /// Skip the rotation to a specific interval multiple (used when the
-    /// controller pools two per-bank refreshes, as RoMe's §V-B optimization
-    /// does by issuing one refresh every `2 × tREFIpb`).
-    pub fn set_interval_multiple(&mut self, multiple: u32) {
-        let base = self.interval / Cycle::from(self.multiple_estimate().max(1));
-        self.interval = base * Cycle::from(multiple.max(1));
-    }
-
-    fn multiple_estimate(&self) -> u32 {
-        1
-    }
-
-    /// Fraction of time a bank is unavailable due to refresh under this
-    /// scheduler (steady-state analytical estimate).
-    pub fn bank_unavailability(&self, timing: &TimingParams) -> f64 {
-        match self.mode {
-            RefreshMode::AllBank => timing.t_rfc_ab as f64 / timing.t_refi as f64,
-            RefreshMode::PerBank => {
-                // Each bank receives one REFpb every banks_in_rank * tREFIpb.
-                timing.t_rfc_pb as f64 / (self.banks_in_rank as f64 * timing.t_refi_pb as f64)
-            }
-        }
-    }
-}
-
-/// Analytical refresh-overhead summary used in tests and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RefreshOverhead {
-    /// Fraction of each bank's time lost to refresh.
-    pub per_bank_unavailability: f64,
-    /// Number of refresh commands per rank per `tREFW`-equivalent window of
-    /// 32 ms.
-    pub commands_per_32ms: u64,
-}
-
-/// Compute the steady-state refresh overhead for a rank of `banks_in_rank`
-/// banks under `mode`.
-pub fn refresh_overhead(
-    mode: RefreshMode,
-    timing: &TimingParams,
-    banks_in_rank: u32,
-) -> RefreshOverhead {
-    let sched = RefreshScheduler::new(mode, timing, banks_in_rank);
-    let window_ns: u64 = 32_000_000;
-    RefreshOverhead {
-        per_bank_unavailability: sched.bank_unavailability(timing),
-        commands_per_32ms: window_ns / sched.interval(),
     }
 }
 
@@ -173,75 +99,34 @@ mod tests {
     #[test]
     fn per_bank_scheduler_rotates_banks_round_robin() {
         let t = TimingParams::hbm4();
-        let mut s = RefreshScheduler::new(RefreshMode::PerBank, &t, 16);
-        assert_eq!(s.mode(), RefreshMode::PerBank);
+        let mut s = RefreshScheduler::new(&t, 16);
+        assert_eq!(s.interval(), t.t_refi_pb as u64);
         assert!(!s.due(0));
         assert!(s.due(t.t_refi_pb as u64));
-        let b0 = s.acknowledge(t.t_refi_pb as u64);
-        let b1 = s.acknowledge(2 * t.t_refi_pb as u64);
-        assert_eq!(b0, 0);
-        assert_eq!(b1, 1);
+        assert_eq!(s.next_bank(), 0);
+        s.acknowledge();
+        assert_eq!(s.next_bank(), 1);
+        s.acknowledge();
         assert_eq!(s.issued(), 2);
-        // After 16 acknowledgements the rotation wraps.
-        let mut s = RefreshScheduler::new(RefreshMode::PerBank, &t, 4);
+        // After `banks_in_rank` acknowledgements the rotation wraps.
+        let mut s = RefreshScheduler::new(&t, 4);
         for expect in [0, 1, 2, 3, 0, 1] {
-            assert_eq!(s.acknowledge(0), expect);
+            assert_eq!(s.next_bank(), expect);
+            s.acknowledge();
         }
-    }
-
-    #[test]
-    fn all_bank_scheduler_uses_trefi() {
-        let t = TimingParams::hbm4();
-        let s = RefreshScheduler::new(RefreshMode::AllBank, &t, 16);
-        assert_eq!(s.interval(), t.t_refi as u64);
-        assert!(s.due(3900));
-        assert!(!s.due(3899));
     }
 
     #[test]
     fn urgency_kicks_in_after_postponement_budget() {
         let t = TimingParams::hbm4();
-        let s = RefreshScheduler::new(RefreshMode::PerBank, &t, 16);
+        let mut s = RefreshScheduler::new(&t, 16);
         let due = t.t_refi_pb as u64;
+        assert_eq!(s.next_due(), due);
         assert!(!s.urgent(due));
+        assert_eq!(s.urgent_at(), due + 8 * t.t_refi_pb as u64);
         assert!(s.urgent(due + 9 * t.t_refi_pb as u64));
-    }
-
-    #[test]
-    fn per_bank_unavailability_is_small_and_below_all_bank() {
-        let t = TimingParams::hbm4();
-        let pb = refresh_overhead(RefreshMode::PerBank, &t, 16);
-        let ab = refresh_overhead(RefreshMode::AllBank, &t, 16);
-        assert!(pb.per_bank_unavailability < 0.10);
-        assert!(
-            pb.per_bank_unavailability < ab.per_bank_unavailability,
-            "per-bank refresh should stall each bank less than all-bank ({} vs {})",
-            pb.per_bank_unavailability,
-            ab.per_bank_unavailability
-        );
-        assert!(pb.commands_per_32ms > ab.commands_per_32ms);
-    }
-
-    #[test]
-    fn next_event_reports_due_then_urgent_then_none() {
-        let t = TimingParams::hbm4();
-        let mut s = RefreshScheduler::new(RefreshMode::PerBank, &t, 16);
-        let due = s.next_due();
-        assert_eq!(due, t.t_refi_pb as u64);
-        assert_eq!(s.next_event_at(0), Some(due));
-        assert_eq!(s.next_event_at(due), Some(s.urgent_at()));
-        assert_eq!(s.next_event_at(s.urgent_at()), None);
         // Acknowledging pushes the due time forward by one interval.
-        s.acknowledge(due);
+        s.acknowledge();
         assert_eq!(s.next_due(), 2 * due);
-    }
-
-    #[test]
-    fn interval_multiple_scales_interval() {
-        let t = TimingParams::hbm4();
-        let mut s = RefreshScheduler::new(RefreshMode::PerBank, &t, 16);
-        let base = s.interval();
-        s.set_interval_multiple(2);
-        assert_eq!(s.interval(), base * 2);
     }
 }

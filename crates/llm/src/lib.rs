@@ -22,7 +22,7 @@
 //! # Example
 //!
 //! ```
-//! use rome_llm::prelude::*;
+//! use rome_llm::{decode_step, ModelConfig, Parallelism};
 //!
 //! let model = ModelConfig::deepseek_v3();
 //! let par = Parallelism::paper_decode(&model);
@@ -43,18 +43,6 @@ pub mod ops;
 pub mod parallelism;
 pub mod traffic;
 pub mod types;
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::attention::AttentionConfig;
-    pub use crate::ffn::FfnConfig;
-    pub use crate::footprint::{footprint_rows, FootprintRow};
-    pub use crate::model::ModelConfig;
-    pub use crate::ops::{decode_step, prefill_step, Operator, OperatorKind};
-    pub use crate::parallelism::Parallelism;
-    pub use crate::traffic::{DeviceTraffic, StepTraffic};
-    pub use crate::types::{DataKind, Dtype, Stage};
-}
 
 pub use attention::AttentionConfig;
 pub use ffn::FfnConfig;

@@ -1,8 +1,8 @@
 //! The conventional per-channel memory controller.
 //!
 //! This is the paper's baseline (§II-D): an FR-FCFS scheduler over CAM-style
-//! read/write queues, per-bank state logic, an open-page (or configurable)
-//! page policy, per-bank refresh, and age-based anti-starvation. Every DRAM
+//! read/write queues, per-bank state logic, an open-page policy, per-bank
+//! refresh, and age-based anti-starvation. Every DRAM
 //! command it emits is validated by the cycle-accurate
 //! [`rome_hbm::HbmChannel`] model, so illegal schedules cannot silently
 //! inflate bandwidth.
@@ -15,27 +15,18 @@ use rome_hbm::address::BankAddress;
 use rome_hbm::channel::HbmChannel;
 use rome_hbm::command::{CommandKind, CommandTarget, DramCommand};
 use rome_hbm::organization::Organization;
-use rome_hbm::refresh::{RefreshMode, RefreshScheduler};
+use rome_hbm::refresh::RefreshScheduler;
 use rome_hbm::timing::TimingParams;
 use rome_hbm::units::Cycle;
 
 use crate::mapping::{AddressMapping, MappingScheme};
-use crate::page_policy::PagePolicy;
 use crate::queue::{BankIndexer, QueueEntry, RequestQueue};
 use crate::request::{CompletedRequest, MemoryRequest, RequestKind};
 use crate::stats::ControllerStats;
 
-/// Request-scheduling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum SchedulingPolicy {
-    /// First-ready, first-come-first-served: row hits first, then oldest.
-    #[default]
-    FrFcfs,
-    /// Strict first-come-first-served (no row-hit prioritization).
-    Fcfs,
-}
-
-/// Configuration of a conventional channel controller.
+/// Configuration of a conventional channel controller. The scheduling
+/// policy is fixed to the paper's baseline: FR-FCFS, open page, per-bank
+/// refresh.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerConfig {
     /// DRAM organization of the attached channel.
@@ -48,12 +39,6 @@ pub struct ControllerConfig {
     pub read_queue_capacity: usize,
     /// Write queue capacity (entries).
     pub write_queue_capacity: usize,
-    /// Page policy.
-    pub page_policy: PagePolicy,
-    /// Scheduling policy.
-    pub scheduling: SchedulingPolicy,
-    /// Refresh mode (per-bank in the paper's evaluation).
-    pub refresh_mode: RefreshMode,
     /// Age in ns after which the oldest request preempts row-hit-first
     /// scheduling (QoS / anti-starvation).
     pub starvation_threshold: Cycle,
@@ -79,9 +64,6 @@ impl ControllerConfig {
             mapping: MappingScheme::hbm4_streaming(organization, 1),
             read_queue_capacity: Self::BASELINE_QUEUE_CAPACITY,
             write_queue_capacity: Self::BASELINE_QUEUE_CAPACITY,
-            page_policy: PagePolicy::Open,
-            scheduling: SchedulingPolicy::FrFcfs,
-            refresh_mode: RefreshMode::PerBank,
             starvation_threshold: 2_000,
             write_drain_high: 48,
             write_drain_low: 16,
@@ -175,7 +157,7 @@ pub struct ChannelController {
     act_at: Vec<Cycle>,
     /// Earliest future cycle at which a command the scheduler wanted to
     /// issue this tick becomes timing-legal. Only complete after a tick that
-    /// issued nothing: the refresh logic and the one-pass column scan
+    /// issued nothing: the refresh logic and the starved column probe
     /// record it inline as a byproduct of their failed attempts, while the
     /// two-phase scans leave every blocked bound in the queue's packed
     /// arrays and the tick reads the minimum back once it has issued nothing
@@ -191,7 +173,7 @@ impl ChannelController {
         let ranks = (org.pseudo_channels as usize) * (org.stack_ids as usize);
         let banks_per_rank = (org.bank_groups * org.banks_per_group) as u32;
         let refresh: Vec<RefreshScheduler> = (0..ranks)
-            .map(|_| RefreshScheduler::new(config.refresh_mode, &config.timing, banks_per_rank))
+            .map(|_| RefreshScheduler::new(&config.timing, banks_per_rank))
             .collect();
         let refresh_due_min = refresh
             .iter()
@@ -232,8 +214,8 @@ impl ChannelController {
     /// writer besides [`ChannelController::clear_open_row`], which keeps the
     /// mask invariant structural). Both queues refresh their per-entry
     /// row-match flags and open-row-hit counts here — the single row-state
-    /// mutation point — so the scans can test "row hit" and the
-    /// adaptive-page-policy CAM in O(1).
+    /// mutation point — so the scans can test "row hit" and "does a queued
+    /// entry still want the open row" in O(1).
     #[inline]
     fn set_open_row(&mut self, idx: usize, row: u32) {
         self.open_rows[idx] = Some(row);
@@ -513,13 +495,12 @@ impl ChannelController {
     /// `ready_at` by the column scan, in `act_ready_at` by the row scan),
     /// so the minimum future bound over the entries each scan considers is
     /// exactly the hint the scans would have accumulated. The column part
-    /// applies only when the column scan ran in its two-phase FR-FCFS form;
-    /// the one-pass form records its hint inline. The row part covers the
-    /// row-relevant entries: not a row hit and not pinned open by the
-    /// adaptive page policy.
+    /// applies only when the column scan ran in its two-phase form; the
+    /// starved probe of the oldest entry records its hint inline. The row
+    /// part covers the row-relevant entries: not a row hit and not on a bank
+    /// whose open row a queued entry still wants.
     fn hint_from_parked_bounds(&mut self, now: Cycle) {
-        let two_phase_column =
-            self.config.scheduling == SchedulingPolicy::FrFcfs && !self.starved(now);
+        let two_phase_column = !self.starved(now);
         let queue = self.active_queue();
         let mut hint = queue.earliest_row_park_after(now);
         if two_phase_column {
@@ -599,122 +580,71 @@ impl ChannelController {
                     continue;
                 }
                 let urgent = self.refresh[rank].urgent(now);
-                match self.config.refresh_mode {
-                    RefreshMode::PerBank => {
-                        // Identify the bank next in rotation without consuming it.
-                        let banks_per_rank = (org.bank_groups * org.banks_per_group) as u32;
-                        let probe = self.refresh[rank].issued() % banks_per_rank as u64;
-                        let bg = (probe as u32 / org.banks_per_group as u32) as u8;
-                        let ba = (probe as u32 % org.banks_per_group as u32) as u8;
-                        let bank = BankAddress::new(pc, sid, bg, ba);
-                        let target = CommandTarget::from_bank_address(bank);
-                        let idx = self.bank_index(bank);
-                        // Postpone a non-urgent refresh while requests are
-                        // pending for this bank (the paper's "optionally
-                        // postponing REFs based on each bank's state"),
-                        // answered by the queues' per-bank counts.
-                        if !urgent
-                            && (self.read_queue.bank_counts()[idx] > 0
-                                || self.write_queue.bank_counts()[idx] > 0)
-                        {
-                            // Postponed until the bank drains or the refresh
-                            // becomes urgent.
-                            self.hint_event(self.refresh[rank].urgent_at());
-                            continue;
-                        }
-                        // If the bank has an open row, it must be precharged
-                        // first; only force this when the refresh is urgent,
-                        // otherwise wait for the scheduler to drain it.
-                        if self.open_rows[idx].is_some() {
-                            if urgent {
-                                let pre = DramCommand::Pre { target };
-                                if self.channel.can_issue(&pre, now) {
-                                    self.channel.issue(pre, now).expect("checked");
-                                    self.trace_row_close(idx, now);
-                                    self.clear_open_row(idx);
-                                    // Keep the bank closed until the refresh
-                                    // actually issues.
-                                    self.refresh_reserved_bank = Some(bank);
-                                    return true;
-                                }
-                                self.hint_event(self.channel.earliest_issue(&pre, now + 1));
-                            } else {
-                                self.hint_event(self.refresh[rank].urgent_at());
-                            }
-                            continue;
-                        }
-                        let refpb = DramCommand::RefPerBank { target };
-                        if self.channel.can_issue(&refpb, now) {
-                            self.channel.issue(refpb, now).expect("checked");
-                            self.refresh[rank].acknowledge(now);
-                            self.note_refresh_acknowledged();
-                            self.stats.refreshes_issued += 1;
-                            if self.trace.commands() {
-                                self.trace.record(TraceEvent {
-                                    bank: idx as u32,
-                                    dur: self.config.timing.t_rfc_pb as u64,
-                                    ..TraceEvent::at(TraceEventKind::Refresh, now)
-                                });
-                            }
-                            if self.refresh_reserved_bank == Some(bank) {
-                                self.refresh_reserved_bank = None;
-                            }
-                            return true;
-                        }
-                        self.hint_event(self.channel.earliest_issue(&refpb, now + 1));
-                        if urgent && self.refresh_reserved_bank.is_none() {
-                            // Reserve the idle bank so the scheduler cannot
-                            // open a row in it before the refresh becomes
-                            // timing-legal.
+                // The bank next in rotation (consumed only when its REFpb
+                // issues).
+                let next = self.refresh[rank].next_bank();
+                let bg = (next / u32::from(org.banks_per_group)) as u8;
+                let ba = (next % u32::from(org.banks_per_group)) as u8;
+                let bank = BankAddress::new(pc, sid, bg, ba);
+                let target = CommandTarget::from_bank_address(bank);
+                let idx = self.bank_index(bank);
+                // Postpone a non-urgent refresh while requests are pending
+                // for this bank (the paper's "optionally postponing REFs
+                // based on each bank's state"), answered by the queues'
+                // per-bank counts.
+                if !urgent
+                    && (self.read_queue.bank_counts()[idx] > 0
+                        || self.write_queue.bank_counts()[idx] > 0)
+                {
+                    // Postponed until the bank drains or the refresh
+                    // becomes urgent.
+                    self.hint_event(self.refresh[rank].urgent_at());
+                    continue;
+                }
+                // If the bank has an open row, it must be precharged first;
+                // only force this when the refresh is urgent, otherwise wait
+                // for the scheduler to drain it.
+                if self.open_rows[idx].is_some() {
+                    if urgent {
+                        let pre = DramCommand::Pre { target };
+                        if self.channel.can_issue(&pre, now) {
+                            self.channel.issue(pre, now).expect("checked");
+                            self.trace_row_close(idx, now);
+                            self.clear_open_row(idx);
+                            // Keep the bank closed until the refresh actually
+                            // issues.
                             self.refresh_reserved_bank = Some(bank);
-                        }
-                    }
-                    RefreshMode::AllBank => {
-                        let target = CommandTarget::bank(pc, sid, 0, 0);
-                        // All banks of the rank must be precharged.
-                        let any_open =
-                            (0..(org.bank_groups * org.banks_per_group) as usize).any(|i| {
-                                let base = self.bank_index(BankAddress::new(pc, sid, 0, 0));
-                                self.open_rows[base + i].is_some()
-                            });
-                        if any_open {
-                            if urgent {
-                                let pre_all = DramCommand::PreAll { target };
-                                if self.channel.can_issue(&pre_all, now) {
-                                    self.channel.issue(pre_all, now).expect("checked");
-                                    let base = self.bank_index(BankAddress::new(pc, sid, 0, 0));
-                                    for i in 0..(org.bank_groups * org.banks_per_group) as usize {
-                                        if self.open_rows[base + i].is_some() {
-                                            self.trace_row_close(base + i, now);
-                                        }
-                                        self.clear_open_row(base + i);
-                                    }
-                                    return true;
-                                }
-                                self.hint_event(self.channel.earliest_issue(&pre_all, now + 1));
-                            } else {
-                                self.hint_event(self.refresh[rank].urgent_at());
-                            }
-                            continue;
-                        }
-                        let refab = DramCommand::RefAllBank { target };
-                        if self.channel.can_issue(&refab, now) {
-                            self.channel.issue(refab, now).expect("checked");
-                            self.refresh[rank].acknowledge(now);
-                            self.note_refresh_acknowledged();
-                            self.stats.refreshes_issued += 1;
-                            if self.trace.commands() {
-                                let base = self.bank_index(BankAddress::new(pc, sid, 0, 0));
-                                self.trace.record(TraceEvent {
-                                    bank: base as u32,
-                                    dur: self.config.timing.t_rfc_ab as u64,
-                                    ..TraceEvent::at(TraceEventKind::Refresh, now)
-                                });
-                            }
                             return true;
                         }
-                        self.hint_event(self.channel.earliest_issue(&refab, now + 1));
+                        self.hint_event(self.channel.earliest_issue(&pre, now + 1));
+                    } else {
+                        self.hint_event(self.refresh[rank].urgent_at());
                     }
+                    continue;
+                }
+                let refpb = DramCommand::RefPerBank { target };
+                if self.channel.can_issue(&refpb, now) {
+                    self.channel.issue(refpb, now).expect("checked");
+                    self.refresh[rank].acknowledge();
+                    self.note_refresh_acknowledged();
+                    self.stats.refreshes_issued += 1;
+                    if self.trace.commands() {
+                        self.trace.record(TraceEvent {
+                            bank: idx as u32,
+                            dur: self.config.timing.t_rfc_pb as u64,
+                            ..TraceEvent::at(TraceEventKind::Refresh, now)
+                        });
+                    }
+                    if self.refresh_reserved_bank == Some(bank) {
+                        self.refresh_reserved_bank = None;
+                    }
+                    return true;
+                }
+                self.hint_event(self.channel.earliest_issue(&refpb, now + 1));
+                if urgent && self.refresh_reserved_bank.is_none() {
+                    // Reserve the idle bank so the scheduler cannot open a
+                    // row in it before the refresh becomes timing-legal.
+                    self.refresh_reserved_bank = Some(bank);
                 }
             }
         }
@@ -758,7 +688,7 @@ impl ChannelController {
         // Pick the oldest entry whose row is open and whose column command is
         // issuable now. The scan walks plain slices of the queue's packed
         // arrays (one `scan_view` split-borrow, so the base pointers and
-        // bounds stay in registers) and the row-open bitmask; the 64-byte
+        // bounds stay in registers), row-match flags included; the 64-byte
         // entry payload is only loaded for an entry that reaches the
         // earliest-issue probe.
         //
@@ -772,10 +702,7 @@ impl ChannelController {
         // driver a few cycles early (a harmless spurious event).
         let (candidate, hint) = {
             let ChannelController {
-                config,
                 channel,
-                open_rows,
-                open_mask,
                 col_ready,
                 indexer,
                 read_queue,
@@ -787,23 +714,19 @@ impl ChannelController {
             } else {
                 &mut *read_queue
             };
-            let fcfs = config.scheduling == SchedulingPolicy::Fcfs;
-            let frfcfs = config.scheduling == SchedulingPolicy::FrFcfs;
             let crate::queue::ScanView {
                 ready_at,
                 bank,
-                row,
                 row_match,
                 entries,
                 ..
             } = queue.scan_view();
             let n = bank.len();
             let ready_at = &mut ready_at[..n];
-            let row = &row[..n];
             let row_match = &row_match[..n];
             let mut found: Option<usize> = None;
             let mut hint = Cycle::MAX;
-            if frfcfs && !starved {
+            if !starved {
                 // Two-phase blocked scan. Phase 1 is a branchless sweep
                 // over one `PREPASS_BLOCK` of entries that collects the
                 // entries needing real work — expired bound AND open
@@ -812,10 +735,10 @@ impl ChannelController {
                 // branch mispredicts). Phase 2 runs the pseudo-channel
                 // gate, the per-bank `col_ready` bound and the
                 // earliest-issue probes over the (few) candidates in age
-                // order — identical decisions to the one-pass loop.
-                // Sweeping block-by-block keeps the one-pass loop's
-                // early exit: an issuing tick stops within one block of
-                // the entry it picks. Every blocked candidate stores its
+                // order — identical decisions to a one-pass walk.
+                // Sweeping block-by-block keeps that walk's early exit:
+                // an issuing tick stops within one block of the entry it
+                // picks. Every blocked candidate stores its
                 // bound in `ready_at`, so the scan keeps no wakeup hint:
                 // a tick that issues nothing reads the minimum back from
                 // the stored bounds.
@@ -851,7 +774,7 @@ impl ChannelController {
                             continue;
                         }
                         let e = entries.entry(i);
-                        let probe = column_command(e, false);
+                        let probe = column_command(e);
                         let at = channel.earliest_issue(&probe, now);
                         if at <= now {
                             found = Some(i);
@@ -862,48 +785,25 @@ impl ChannelController {
                     }
                 }
             } else {
-                // One-pass form: needed verbatim for FCFS ordering and
-                // starvation mode (both break the scan early on
-                // position, which the two-phase sweep cannot honor).
-                for i in 0..n {
-                    if starved && i != 0 && frfcfs {
-                        break;
-                    }
-                    let cached = ready_at[i];
-                    if cached > now {
-                        hint = hint.min(cached);
-                        if fcfs {
-                            break;
-                        }
-                        continue;
-                    }
-                    let b = bank[i] as usize;
-                    if open_mask[b >> 6] >> (b & 63) & 1 == 0 || open_rows[b] != Some(row[i]) {
-                        if fcfs {
-                            break;
-                        }
-                        continue;
-                    }
-                    let pc = indexer.pseudo_channel_of(b);
+                // Starved: only the oldest entry may issue (an empty queue
+                // is never starved). It is probed like a two-phase
+                // candidate, but without the per-bank bound, and its
+                // wakeup hint is recorded inline.
+                if ready_at[0] > now {
+                    hint = ready_at[0];
+                } else if row_match[0] == 1 {
+                    let pc = indexer.pseudo_channel_of(bank[0] as usize);
                     if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                        hint = hint.min(pc_bound[pc]);
-                        ready_at[i] = pc_bound[pc];
-                        if fcfs {
-                            break;
+                        hint = pc_bound[pc];
+                        ready_at[0] = pc_bound[pc];
+                    } else {
+                        let at = channel.earliest_issue(&column_command(entries.entry(0)), now);
+                        if at <= now {
+                            found = Some(0);
+                        } else {
+                            hint = at;
+                            ready_at[0] = at;
                         }
-                        continue;
-                    }
-                    let e = entries.entry(i);
-                    let probe = column_command(e, false);
-                    let at = channel.earliest_issue(&probe, now);
-                    if at <= now {
-                        found = Some(i);
-                        break;
-                    }
-                    hint = hint.min(at);
-                    ready_at[i] = at;
-                    if fcfs {
-                        break;
                     }
                 }
             }
@@ -926,15 +826,9 @@ impl ChannelController {
         };
         let entry = queue.remove(index).expect("candidate index valid");
         let idx = self.indexer.flat(entry.dram.bank);
-        // The chosen entry hits its bank's open row, so the queued entries
-        // that still want that row are exactly the bank's remaining
-        // open-row hits: an O(1) count instead of a CAM walk.
-        let pending_hit = queue.open_row_hits()[idx] > 0;
-        let auto_precharge = self.config.page_policy.auto_precharge(pending_hit);
-        let cmd = column_command(&entry, auto_precharge);
         let result = self
             .channel
-            .issue(cmd, now)
+            .issue(column_command(&entry), now)
             .expect("probed via earliest_issue");
         if self.trace.commands() {
             self.trace.record(TraceEvent {
@@ -945,10 +839,6 @@ impl ChannelController {
                 write: is_write_phase,
                 ..TraceEvent::at(TraceEventKind::Issue, now)
             });
-        }
-        if auto_precharge {
-            self.trace_row_close(idx, now);
-            self.clear_open_row(idx);
         }
         self.stats.row_hits += 1;
         self.in_flight.push(
@@ -1030,10 +920,9 @@ impl ChannelController {
                 // position-indexed loads per entry (no per-bank gathers,
                 // no data-dependent branches): an entry is *relevant*
                 // unless it is a row hit (`row_match` — a column
-                // candidate, not a row one) or pinned behind the adaptive
-                // page policy (`keep_open` — its bank's open row is still
-                // wanted, so the entry can neither activate nor precharge
-                // it). A relevant entry whose park bound
+                // candidate, not a row one) or pinned by the open-page
+                // rule (`keep_open` — its bank's open row is still wanted,
+                // so the entry can neither activate nor precharge it). A relevant entry whose park bound
                 // (`act_ready_at`) lies in the future is retired;
                 // survivors land in a per-block bitmask for the full
                 // scheduling body below, and each one found blocked
@@ -1130,7 +1019,7 @@ impl ChannelController {
                             }
                         } else {
                             // Pre-pass candidates on the open arm already
-                            // satisfy the adaptive page policy: the entry's
+                            // satisfy the open-page rule: the entry's
                             // row mismatches the open one and no queued
                             // entry still wants it (`hits_open == 0`), so
                             // only the timing probe remains. Cross-scan
@@ -1237,29 +1126,21 @@ impl ChannelController {
     /// From-scratch reference for the column pick: the oldest active-queue
     /// entry whose row is open and whose column command the constraint
     /// engine allows now. It walks the entries themselves and uses no
-    /// packed arrays, stored bounds or hints. FCFS stops at the oldest entry
-    /// that cannot issue, and a starved FR-FCFS queue offers only its oldest
-    /// entry. The crate's test build checks every `schedule_column`
-    /// decision against it.
+    /// packed arrays, stored bounds or hints. A starved queue offers only
+    /// its oldest entry. The crate's test build checks every
+    /// `schedule_column` decision against it.
     #[cfg(test)]
     fn reference_column_pick(&self, now: Cycle) -> Option<usize> {
         let queue = self.active_queue();
-        let fcfs = self.config.scheduling == SchedulingPolicy::Fcfs;
-        let considered = if self.starved(now) && !fcfs {
+        let considered = if self.starved(now) {
             queue.len().min(1)
         } else {
             queue.len()
         };
-        for (i, e) in queue.iter().take(considered).enumerate() {
-            let row_open = self.open_rows[self.indexer.flat(e.dram.bank)] == Some(e.dram.row);
-            if row_open && self.channel.earliest_issue(&column_command(e, false), now) <= now {
-                return Some(i);
-            }
-            if fcfs {
-                return None;
-            }
-        }
-        None
+        queue.iter().take(considered).position(|e| {
+            self.open_rows[self.indexer.flat(e.dram.bank)] == Some(e.dram.row)
+                && self.channel.earliest_issue(&column_command(e), now) <= now
+        })
     }
 
     /// From-scratch reference for the row action, walking the active queue
@@ -1390,18 +1271,20 @@ impl rome_engine::MemoryController for ChannelController {
     }
 }
 
-fn column_command(entry: &QueueEntry, auto_precharge: bool) -> DramCommand {
+/// The column command (RD or WR) serving `entry`. The baseline keeps rows
+/// open, so it never auto-precharges.
+fn column_command(entry: &QueueEntry) -> DramCommand {
     let target = CommandTarget::from_bank_address(entry.dram.bank);
     match entry.request.kind {
         RequestKind::Read => DramCommand::Rd {
             target,
             column: entry.dram.column,
-            auto_precharge,
+            auto_precharge: false,
         },
         RequestKind::Write => DramCommand::Wr {
             target,
             column: entry.dram.column,
-            auto_precharge,
+            auto_precharge: false,
         },
     }
 }
@@ -1554,29 +1437,64 @@ mod tests {
     }
 
     #[test]
-    fn closed_page_policy_precharges_aggressively() {
-        let mut cfg = ControllerConfig::hbm4_baseline();
-        cfg.page_policy = PagePolicy::Closed;
-        let mut ctrl = ChannelController::new(cfg);
-        for i in 0..16u64 {
-            ctrl.enqueue(MemoryRequest::read(i, i * 32, 32, 0));
-        }
-        run_until_idle(&mut ctrl, 50_000);
-        // Every column access auto-precharges, so activates ~= reads.
-        let s = ctrl.stats();
-        assert!(s.dram.activates as i64 >= s.dram.reads as i64 - 1);
-    }
-
-    #[test]
-    fn fcfs_policy_still_completes_requests() {
-        let mut cfg = ControllerConfig::hbm4_baseline();
-        cfg.scheduling = SchedulingPolicy::Fcfs;
-        let mut ctrl = ChannelController::new(cfg);
-        for i in 0..8u64 {
-            ctrl.enqueue(MemoryRequest::read(i, i * 4096, 32, 0));
-        }
-        let (done, _) = run_until_idle(&mut ctrl, 50_000);
-        assert_eq!(done.len(), 8);
+    fn a_starved_request_is_served_before_any_younger_row_hit() {
+        // The oldest request wants row 2 of a bank whose open row 1 a stream
+        // of younger row hits keeps wanting, so FR-FCFS serves the hits and
+        // keeps the row open. Once the oldest crosses the starvation
+        // threshold, no younger entry may issue a column command (the only
+        // way an entry leaves the queue) until the oldest has been served.
+        let mut ctrl = controller();
+        let bank = BankAddress::new(0, 0, 0, 0);
+        let entry = |id: u64, row: u32| QueueEntry {
+            request: MemoryRequest::read(id, 0, 32, 0),
+            dram: rome_hbm::address::DramAddress {
+                channel: 0,
+                bank,
+                row,
+                column: (id % 32) as u16,
+            },
+        };
+        // Entry 0 opens row 1; entry 1 is the conflicting request.
+        assert!(ctrl.enqueue_mapped(entry(0, 1)));
+        assert!(ctrl.enqueue_mapped(entry(1, 2)));
+        let starved_from = ctrl.config().starvation_threshold + 1;
+        let mut next_id = 2;
+        let mut hits_before = 0;
+        let mut now = 0;
+        let served_at = loop {
+            assert!(now < 50_000, "the starved request was never served");
+            while ctrl.read_slots_free() > 0 {
+                assert!(ctrl.enqueue_mapped(entry(next_id, 1)));
+                next_id += 1;
+            }
+            let queued = |ctrl: &ChannelController| -> Vec<u64> {
+                ctrl.read_queue.iter().map(|e| e.request.id.0).collect()
+            };
+            let before = queued(&ctrl);
+            ctrl.tick(now);
+            let after = queued(&ctrl);
+            let issued: Vec<u64> = before
+                .into_iter()
+                .filter(|id| !after.contains(id))
+                .collect();
+            if issued.contains(&1) {
+                break now;
+            }
+            if now < starved_from {
+                hits_before += issued.iter().filter(|&&id| id >= 2).count();
+            } else {
+                assert!(
+                    issued.is_empty(),
+                    "younger requests {issued:?} issued at {now} while request 1 starved"
+                );
+            }
+            now += 1;
+        };
+        assert!(served_at >= starved_from, "served at {served_at}");
+        assert!(
+            hits_before > 100,
+            "only {hits_before} younger hits bypassed it"
+        );
     }
 
     #[test]
@@ -1633,7 +1551,7 @@ mod tests {
             // Per-entry row-match / keep-open flags and per-bank
             // open-row-hit counts ⇔ a from-scratch recompute against the
             // controller's open rows (the incrementally maintained
-            // adaptive-page-policy state the row scan trusts).
+            // open-page state the row scan trusts).
             let mut hits = vec![0u16; ctrl.indexer.banks()];
             let mut row_match = Vec::new();
             for e in queue.iter() {
@@ -1730,19 +1648,8 @@ mod tests {
         #[test]
         fn bitmasks_match_a_from_scratch_per_bank_oracle(
             ops in prop::collection::vec((0u64..512, 0u64..2, 0u64..12), 1..32),
-            refresh_mode in prop::sample::select(vec![RefreshMode::PerBank, RefreshMode::AllBank]),
-            page_policy in prop::sample::select(vec![
-                PagePolicy::Open,
-                PagePolicy::Closed,
-                PagePolicy::Adaptive,
-            ]),
         ) {
-            let mut cfg = ControllerConfig::hbm4_with_queue_depth(32);
-            cfg.refresh_mode = refresh_mode;
-            // Auto-precharge closes banks that still have queued entries,
-            // which exercises the queue's `note_pre` bookkeeping.
-            cfg.page_policy = page_policy;
-            let mut ctrl = ChannelController::new(cfg);
+            let mut ctrl = ChannelController::new(ControllerConfig::hbm4_with_queue_depth(32));
             let mut done = Vec::new();
             let mut now = 0u64;
             for (i, &(seed, kind, gap)) in ops.iter().enumerate() {

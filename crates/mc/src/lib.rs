@@ -9,9 +9,9 @@
 //!   drivers this controller plugs into);
 //! * configurable DRAM **address mapping** functions ([`mapping`]);
 //! * CAM-style read/write **request queues** ([`queue`]);
-//! * **page policies** — open, closed, adaptive ([`page_policy`]);
-//! * the **FR-FCFS command scheduler** with per-bank state logic, refresh
-//!   scheduling, and age-based QoS ([`controller`]);
+//! * the **FR-FCFS command scheduler** with per-bank state logic, an
+//!   open-page policy, per-bank refresh and age-based anti-starvation
+//!   ([`controller`]) — the paper's baseline and the only policy;
 //! * a **multi-channel memory system** that fragments host requests into
 //!   cache-line DRAM transactions and steers them by the address mapping
 //!   ([`system`]);
@@ -43,7 +43,6 @@
 
 pub mod controller;
 pub mod mapping;
-pub mod page_policy;
 pub mod queue;
 pub mod stats;
 pub mod system;
@@ -51,9 +50,8 @@ pub mod workload;
 
 pub use rome_engine::request;
 
-pub use controller::{ChannelController, ControllerConfig, SchedulingPolicy};
+pub use controller::{ChannelController, ControllerConfig};
 pub use mapping::{AddressMapping, MappingField, MappingScheme};
-pub use page_policy::PagePolicy;
 pub use request::{MemoryRequest, RequestId, RequestKind};
 pub use stats::ControllerStats;
 pub use system::{MemorySystem, MemorySystemConfig};

@@ -138,7 +138,7 @@ pub struct RequestQueue {
     /// one byte load instead of a mask word plus an open-row compare.
     row_match: Vec<u8>,
     /// 1 iff the entry's bank is open AND some queued entry still wants the
-    /// open row (`hits_open[bank] > 0`), i.e. the adaptive page policy
+    /// open row (`hits_open[bank] > 0`), i.e. the open-page FR-FCFS rule
     /// forbids precharging it. Maintained at the same mutation points as
     /// `row_match` (plus the 0↔>0 transitions of `hits_open` on
     /// push/remove), so the row scan's pre-pass can retire these entries
@@ -158,8 +158,8 @@ pub struct RequestQueue {
     /// Number of queued entries whose row matches the bank's open row
     /// (`hits_open[b]` = count of set `row_match` flags among bank `b`'s
     /// entries; 0 whenever the bank is closed). `hits_open[b] > 0` answers
-    /// the adaptive-page-policy CAM query ("does any queued entry still
-    /// want the open row?") in O(1), replacing a full-queue walk per probe.
+    /// the open-page CAM query ("does any queued entry still want the open
+    /// row?") in O(1), replacing a full-queue walk per probe.
     hits_open: Vec<u16>,
     /// Mirror of the scheduler's open-row state (bit `b & 63` of word
     /// `b >> 6` set iff bank `b` has a row open), maintained via
@@ -201,18 +201,13 @@ pub struct ScanView<'a> {
     pub act_ready_at: &'a mut [Cycle],
     /// Flat bank index per entry.
     pub bank: &'a [u16],
-    /// Target row per entry.
-    pub row: &'a [u32],
     /// 1 iff the entry's row is open in its bank (incrementally maintained;
     /// see [`RequestQueue::note_act`]).
     pub row_match: &'a [u8],
-    /// Per-bank count of entries matching the bank's open row (the O(1)
-    /// adaptive-page-policy CAM; see the field docs on `RequestQueue`).
-    pub hits_open: &'a [u16],
-    /// 1 iff the entry's bank is open and the adaptive page policy forbids
+    /// 1 iff the entry's bank is open and the open-page rule forbids
     /// precharging it (some entry wants the open row). Position-indexed
-    /// mirror of `hits_open[bank] > 0`, so the row-scan pre-pass never
-    /// gathers per-bank state.
+    /// mirror of the queue's per-bank open-row-hit count being non-zero, so
+    /// the row-scan pre-pass never gathers per-bank state.
     pub keep_open: &'a [u8],
     /// Payload and CAM lookups (shared refs, so it stays usable while the
     /// hint slices above are borrowed mutably).
@@ -240,8 +235,8 @@ impl EntryView<'_> {
     }
 
     /// Whether any queued entry targets the same bank and row as `addr`
-    /// (used by the adaptive page policy to decide whether to keep a row
-    /// open), evaluated branchlessly (an OR-fold over the packed arrays
+    /// (the open-page rule: keep a row open while an entry wants it),
+    /// evaluated branchlessly (an OR-fold over the packed arrays
     /// instead of an early-exit `any`), which lets the compiler vectorize the walk — the
     /// common answer in a dense scan is "no hit", which costs a full walk
     /// either way.
@@ -538,8 +533,8 @@ impl RequestQueue {
     }
 
     /// Whether any queued entry targets the same bank and row as `addr`
-    /// (used by the adaptive page policy to decide whether to keep a row
-    /// open). One mask-word test answers the common negative case; only a
+    /// (the open-page rule: keep a row open while an entry wants it). One
+    /// mask-word test answers the common negative case; only a
     /// non-empty bank walks the packed arrays.
     #[cfg(test)]
     pub(crate) fn has_pending_row_hit(&self, addr: DramAddress) -> bool {
@@ -562,7 +557,7 @@ impl RequestQueue {
 
     /// The earliest cached row-command park bound (`act_ready_at`) later
     /// than `now` over the entries that need a row command: not a row hit
-    /// and not pinned open by the adaptive page policy (`Cycle::MAX` if
+    /// and not pinned open by the open-page rule (`Cycle::MAX` if
     /// none). After a row scan that found nothing issuable, this is
     /// the scan's wakeup hint.
     pub(crate) fn earliest_row_park_after(&self, now: Cycle) -> Cycle {
@@ -633,9 +628,7 @@ impl RequestQueue {
             ready_at: &mut self.ready_at,
             act_ready_at: &mut self.act_ready_at,
             bank: &self.bank,
-            row: &self.row,
             row_match: &self.row_match,
-            hits_open: &self.hits_open,
             keep_open: &self.keep_open,
             entries: EntryView {
                 bank: &self.bank,
@@ -668,9 +661,10 @@ impl RequestQueue {
         &self.row_match
     }
 
-    /// Per-bank open-row-hit counts (flat bank index order). Exposed so
-    /// oracle tests can cross-check against a from-scratch recount.
-    pub fn open_row_hits(&self) -> &[u16] {
+    /// Per-bank open-row-hit counts (flat bank index order), for the
+    /// oracle tests' cross-check against a from-scratch recount.
+    #[cfg(test)]
+    pub(crate) fn open_row_hits(&self) -> &[u16] {
         &self.hits_open
     }
 

@@ -26,8 +26,8 @@
 //! # Example
 //!
 //! ```
-//! use rome_sim::prelude::*;
-//! use rome_llm::prelude::*;
+//! use rome_llm::ModelConfig;
+//! use rome_sim::{decode_tpot, AcceleratorSpec, MemoryModel};
 //!
 //! let accel = AcceleratorSpec::paper_default();
 //! let model = ModelConfig::grok_1();
@@ -50,22 +50,6 @@ pub mod overfetch;
 pub mod serving;
 pub mod sweep;
 pub mod tpot;
-
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::accelerator::{AcceleratorSpec, ServerSpec};
-    pub use crate::calibration::{CalibrationCache, CalibrationResult, Calibrator};
-    pub use crate::energy_rollup::{decode_energy, EnergyComparison};
-    pub use crate::lbr::{channel_load_balance, LbrReport};
-    pub use crate::memory_model::{MemoryModel, MemorySystemKind};
-    pub use crate::overfetch::{overfetch_sweep, OverfetchRow};
-    pub use crate::serving::{closed_loop_point, closed_loop_sweep, knee_point, ClosedLoopPoint};
-    pub use crate::sweep::{
-        figure12_sweep, figure13_sweep, Figure12Row, Figure13Row, Scenario, ScenarioReport,
-        ScenarioSet, SweepKind,
-    };
-    pub use crate::tpot::{decode_tpot, prefill_time, TpotReport};
-}
 
 pub use accelerator::{AcceleratorSpec, ServerSpec};
 pub use calibration::{CalibrationCache, CalibrationResult, Calibrator};

@@ -53,18 +53,6 @@ pub mod synthetic;
 pub mod tenants;
 pub mod trace;
 
-/// Convenient glob-import of the most commonly used items.
-pub mod prelude {
-    pub use crate::closed_loop::{ClosedLoopHost, SloPolicy, TenantSlo};
-    pub use crate::moe::{MoeRoutingConfig, MoeRoutingSource};
-    pub use crate::phases::{PrefillDecodeConfig, PrefillDecodeInterleaveSource};
-    pub use crate::stats::{ClassStats, ClassedStats};
-    pub use crate::synthetic::BurstSource;
-    pub use crate::tenants::{MultiTenantMixSource, TenantSpec};
-    pub use crate::trace::{TraceRecord, TraceSource};
-    pub use rome_engine::source::{ReplaySource, TrafficSource};
-}
-
 pub use closed_loop::{ClosedLoopHost, SloPolicy, TenantSlo};
 pub use moe::{MoeRoutingConfig, MoeRoutingSource};
 pub use phases::{PrefillDecodeConfig, PrefillDecodeInterleaveSource};
