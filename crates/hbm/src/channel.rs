@@ -231,12 +231,6 @@ impl HbmChannel {
             .earliest(cmd.kind(), cmd.target().bank, now)
     }
 
-    /// Lower bound on the earliest issue of `kind` anywhere on pseudo
-    /// channel `pc` (see [`ConstraintEngine::pseudo_channel_bound`]).
-    pub fn pseudo_channel_bound(&self, kind: CommandKind, pc: u8) -> Cycle {
-        self.constraints.pseudo_channel_bound(kind, pc)
-    }
-
     /// Lower bound on the earliest ACT to any bank of the rank holding
     /// `addr` (see [`ConstraintEngine::rank_act_bound`]).
     pub fn rank_act_bound(&self, addr: crate::address::BankAddress) -> Cycle {

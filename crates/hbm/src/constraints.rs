@@ -290,14 +290,6 @@ impl ConstraintEngine {
         }
     }
 
-    /// Lower bound on the earliest issue of `kind` anywhere on pseudo
-    /// channel `pc`, from the pseudo-channel scope alone. Much cheaper than
-    /// [`ConstraintEngine::earliest`]; schedulers use it to skip whole
-    /// pseudo channels whose shared bus cannot accept the command yet.
-    pub fn pseudo_channel_bound(&self, kind: CommandKind, pc: u8) -> Cycle {
-        self.pseudo_channels[pc as usize].earliest(kind)
-    }
-
     /// Lower bound on the earliest ACT to any bank of the rank holding
     /// `addr`: the rank-scope tRRD window combined with the four-activate
     /// window. Lets schedulers disqualify a whole rank's worth of pending

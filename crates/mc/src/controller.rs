@@ -13,7 +13,7 @@ use rome_engine::trace::{FlightRecorder, TraceBuffer, TraceConfig, TraceEvent, T
 use rome_engine::{CompletionQueue, EventHorizon};
 use rome_hbm::address::BankAddress;
 use rome_hbm::channel::HbmChannel;
-use rome_hbm::command::{CommandKind, CommandTarget, DramCommand};
+use rome_hbm::command::{CommandTarget, DramCommand};
 use rome_hbm::organization::Organization;
 use rome_hbm::refresh::RefreshScheduler;
 use rome_hbm::timing::TimingParams;
@@ -667,24 +667,6 @@ impl ChannelController {
         #[cfg(test)]
         let expected = self.reference_column_pick(now);
 
-        // Per-pseudo-channel gate: the PC scope bounds the earliest issue of
-        // every column command on that PC, so a blocked PC disqualifies all
-        // of its entries with one comparison instead of a full
-        // earliest-issue evaluation each.
-        let kind = if is_write_phase {
-            CommandKind::Wr
-        } else {
-            CommandKind::Rd
-        };
-        const MAX_GATED_PCS: usize = 8;
-        let pcs = self.config.organization.pseudo_channels as usize;
-        let mut pc_bound = [0 as Cycle; MAX_GATED_PCS];
-        if pcs <= MAX_GATED_PCS {
-            for (pc, bound) in pc_bound.iter_mut().enumerate().take(pcs) {
-                *bound = self.channel.pseudo_channel_bound(kind, pc as u8);
-            }
-        }
-
         // Pick the oldest entry whose row is open and whose column command is
         // issuable now. The scan walks plain slices of the queue's packed
         // arrays (one `scan_view` split-borrow, so the base pointers and
@@ -704,7 +686,6 @@ impl ChannelController {
             let ChannelController {
                 channel,
                 col_ready,
-                indexer,
                 read_queue,
                 write_queue,
                 ..
@@ -732,10 +713,9 @@ impl ChannelController {
                 // entries needing real work — expired bound AND open
                 // row match — into a per-block bitmask (a branchless
                 // shift-or, so the randomly open/closed banks cost no
-                // branch mispredicts). Phase 2 runs the pseudo-channel
-                // gate, the per-bank `col_ready` bound and the
-                // earliest-issue probes over the (few) candidates in age
-                // order — identical decisions to a one-pass walk.
+                // branch mispredicts). Phase 2 runs the per-bank
+                // `col_ready` bound and the earliest-issue probes over the
+                // (few) candidates in age order — identical decisions to a one-pass walk.
                 // Sweeping block-by-block keeps that walk's early exit:
                 // an issuing tick stops within one block of the entry it
                 // picks. Every blocked candidate stores its
@@ -764,11 +744,6 @@ impl ChannelController {
                         let i = block + cand_mask.trailing_zeros() as usize;
                         cand_mask &= cand_mask - 1;
                         let b = bank[i] as usize;
-                        let pc = indexer.pseudo_channel_of(b);
-                        if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                            ready_at[i] = pc_bound[pc];
-                            continue;
-                        }
                         if col_ready[b] > now {
                             ready_at[i] = col_ready[b];
                             continue;
@@ -792,18 +767,12 @@ impl ChannelController {
                 if ready_at[0] > now {
                     hint = ready_at[0];
                 } else if row_match[0] == 1 {
-                    let pc = indexer.pseudo_channel_of(bank[0] as usize);
-                    if pc < pcs.min(MAX_GATED_PCS) && pc_bound[pc] > now {
-                        hint = pc_bound[pc];
-                        ready_at[0] = pc_bound[pc];
+                    let at = channel.earliest_issue(&column_command(entries.entry(0)), now);
+                    if at <= now {
+                        found = Some(0);
                     } else {
-                        let at = channel.earliest_issue(&column_command(entries.entry(0)), now);
-                        if at <= now {
-                            found = Some(0);
-                        } else {
-                            hint = at;
-                            ready_at[0] = at;
-                        }
+                        hint = at;
+                        ready_at[0] = at;
                     }
                 }
             }

@@ -79,12 +79,6 @@ impl BankIndexer {
         self.banks as usize
     }
 
-    /// The pseudo channel a flat bank index belongs to.
-    #[inline]
-    pub fn pseudo_channel_of(&self, flat: usize) -> usize {
-        flat / self.per_pc as usize
-    }
-
     /// The rank (pseudo channel × stack ID) a flat bank index belongs to.
     /// Flat indices are PC-major then SID-major, so ranks are contiguous
     /// runs of `per_sid` banks.
