@@ -2,10 +2,9 @@
 //!
 //! This is the paper's baseline (§II-D): an FR-FCFS scheduler over CAM-style
 //! read/write queues, per-bank state logic, an open-page policy, per-bank
-//! refresh, and age-based anti-starvation. Every DRAM
-//! command it emits is validated by the cycle-accurate
-//! [`rome_hbm::HbmChannel`] model, so illegal schedules cannot silently
-//! inflate bandwidth.
+//! refresh, and age-based anti-starvation. Every DRAM command it emits is
+//! validated by the cycle-accurate [`rome_hbm::HbmChannel`] model, so
+//! illegal schedules cannot silently inflate bandwidth.
 
 use serde::{Deserialize, Serialize};
 
@@ -715,13 +714,13 @@ impl ChannelController {
                 // shift-or, so the randomly open/closed banks cost no
                 // branch mispredicts). Phase 2 runs the per-bank
                 // `col_ready` bound and the earliest-issue probes over the
-                // (few) candidates in age order — identical decisions to a one-pass walk.
-                // Sweeping block-by-block keeps that walk's early exit:
-                // an issuing tick stops within one block of the entry it
-                // picks. Every blocked candidate stores its
-                // bound in `ready_at`, so the scan keeps no wakeup hint:
-                // a tick that issues nothing reads the minimum back from
-                // the stored bounds.
+                // (few) candidates in age order — identical decisions to a
+                // one-pass walk. Sweeping block-by-block keeps that walk's
+                // early exit: an issuing tick stops within one block of the
+                // entry it picks. Every blocked candidate stores its bound
+                // in `ready_at`, so the scan keeps no wakeup hint: a tick
+                // that issues nothing reads the minimum back from the
+                // stored bounds.
                 //
                 // A candidate whose bank bound lies in the future is
                 // parked on it without a probe. The entry whose probe set
@@ -886,31 +885,30 @@ impl ChannelController {
                 let mut act: Option<(usize, u32, BankAddress)> = None;
                 let mut pre: Option<BankAddress> = None;
                 // Two-phase blocked scan. The pre-pass needs only three
-                // position-indexed loads per entry (no per-bank gathers,
-                // no data-dependent branches): an entry is *relevant*
-                // unless it is a row hit (`row_match` — a column
-                // candidate, not a row one) or pinned by the open-page
-                // rule (`keep_open` — its bank's open row is still wanted,
-                // so the entry can neither activate nor precharge it). A relevant entry whose park bound
-                // (`act_ready_at`) lies in the future is retired;
+                // position-indexed loads per entry (no per-bank gathers, no
+                // data-dependent branches): an entry is *relevant* unless it
+                // is a row hit (`row_match` — a column candidate, not a row
+                // one) or pinned by the open-page rule (`keep_open` — its
+                // bank's open row is still wanted, so the entry can neither
+                // activate nor precharge it). A relevant entry whose park
+                // bound (`act_ready_at`) lies in the future is retired;
                 // survivors land in a per-block bitmask for the full
-                // scheduling body below, and each one found blocked
-                // stores its bound in `act_ready_at`. The scan therefore
-                // keeps no wakeup hint: a tick that issues nothing reads
-                // the minimum future park bound of the relevant entries
-                // back, which is what the scan would have accumulated.
-                // `act_ready_at` doubles as a unified park bound:
-                // a cached ACT bound while the bank is closed, a cached
-                // PRE bound while it is open. A bound cached under one
-                // polarity stays valid across a flip — any PRE to the
-                // bank must trail the ACT that opened it (tRAS) and any
+                // scheduling body below, and each one found blocked stores its
+                // bound in `act_ready_at`. The scan therefore keeps no wakeup
+                // hint: a tick that issues nothing reads the minimum future
+                // park bound of the relevant entries back, which is what the
+                // scan would have accumulated. `act_ready_at` doubles as a
+                // unified park bound: a cached ACT bound while the bank is
+                // closed, a cached PRE bound while it is open. A bound cached
+                // under one polarity stays valid across a flip — any PRE to
+                // the bank must trail the ACT that opened it (tRAS) and any
                 // ACT must trail the PRE that closed it (tRP), so the old
                 // bound still lower-bounds the entry's next possible row
-                // action. Sweeping block-by-block keeps the one-pass
-                // loop's early exit: an ACT-issuing tick stops within one
-                // block of the entry it picks. Parked reserved-bank
-                // entries may add a spurious-but-valid extra hint, which
-                // at worst wakes the event driver early.
+                // action. Sweeping block-by-block keeps a one-pass walk's
+                // early exit: an ACT-issuing tick stops within one block of
+                // the entry it picks. Parked reserved-bank entries may add a
+                // spurious-but-valid extra hint, which at worst wakes the
+                // event driver early.
                 let mut base = 0usize;
                 'row: while base < n {
                     // Once a PRE candidate is chosen and every rank is
@@ -1427,6 +1425,9 @@ mod tests {
         assert!(ctrl.enqueue_mapped(entry(0, 1)));
         assert!(ctrl.enqueue_mapped(entry(1, 2)));
         let starved_from = ctrl.config().starvation_threshold + 1;
+        let queued = |ctrl: &ChannelController| -> Vec<u64> {
+            ctrl.read_queue.iter().map(|e| e.request.id.0).collect()
+        };
         let mut next_id = 2;
         let mut hits_before = 0;
         let mut now = 0;
@@ -1436,9 +1437,6 @@ mod tests {
                 assert!(ctrl.enqueue_mapped(entry(next_id, 1)));
                 next_id += 1;
             }
-            let queued = |ctrl: &ChannelController| -> Vec<u64> {
-                ctrl.read_queue.iter().map(|e| e.request.id.0).collect()
-            };
             let before = queued(&ctrl);
             ctrl.tick(now);
             let after = queued(&ctrl);
